@@ -1,10 +1,11 @@
 #!/usr/bin/env python
 """Performance regression suite for the simulation kernels.
 
-Measures the reference (scalar) and vectorized (columnar NumPy) kernels
-on the same workloads, asserts their outputs are bit-identical, and
-writes the results as JSON (``BENCH_perf.json`` at the repo root is the
-committed baseline).  Two modes:
+Times each production kernel (``vectorized`` in the JSON) against the
+scalar oracle it replaced (``reference``), calling both functions
+directly on the same workload, asserts their outputs are bit-identical,
+and writes the results as JSON (``BENCH_perf.json`` at the repo root is
+the committed baseline).  Two modes:
 
 ``--out PATH``
     Run the suite and write a fresh results file (the default writes
@@ -46,8 +47,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
-
-from repro.kernels import use_kernels  # noqa: E402
 
 SCHEMA = "locusroute-perf/1"
 CHECK_RATIO = 0.75  # fresh speedup must keep >= 75% of the committed speedup
@@ -99,25 +98,6 @@ def interleaved_best(
     return times, outputs
 
 
-def _in_mode(mode: str, fn: Callable[[], object]) -> Callable[[], object]:
-    """Wrap *fn* to run under kernel mode *mode*."""
-
-    def run() -> object:
-        with use_kernels(mode):
-            return fn()
-
-    return run
-
-
-def compare_kernel_modes(
-    fn: Callable[[], object], repeats: int
-) -> Tuple[Dict[str, float], Dict[str, object]]:
-    """Interleaved best-of timing of *fn* under each kernel mode."""
-    return interleaved_best(
-        {mode: _in_mode(mode, fn) for mode in ("reference", "vectorized")}, repeats
-    )
-
-
 def entry(
     entry_id: str,
     kind: str,
@@ -135,30 +115,6 @@ def entry(
         "bit_identical": bit_identical,
         "note": note,
     }
-
-
-# ---------------------------------------------------------------------------
-# Whole-run experiments
-
-
-def bench_whole_run(exp_id: str, quick: bool, repeats: int) -> Dict[str, object]:
-    from repro.harness import run_experiment
-
-    times, results = compare_kernel_modes(
-        lambda: run_experiment(exp_id, quick=quick), repeats
-    )
-    same = (
-        results["reference"].rows == results["vectorized"].rows
-        and results["reference"].checks == results["vectorized"].checks
-    )
-    return entry(
-        f"{exp_id.lower()}_whole_run",
-        "whole_run",
-        times["reference"],
-        times["vectorized"],
-        same,
-        f"run_experiment({exp_id!r}, quick={quick}) under each kernel mode",
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -228,12 +184,12 @@ def bench_coherence_sweep(quick: bool, repeats: int) -> Dict[str, object]:
 def bench_twobend_routing(quick: bool, repeats: int) -> Dict[str, object]:
     from repro.grid.cost_array import CostArray
     from repro.harness.experiments import quick_circuit
-    from repro.route.twobend import route_wire
+    from repro.route.twobend import route_wire, route_wire_reference
 
     circuit = quick_circuit("bnrE", True)
     iterations = 2 if quick else 4
 
-    def churn() -> Tuple[bytes, int]:
+    def churn(route_wire) -> Tuple[bytes, int]:
         # Same loop shape as route.engine: rip-up + reroute with an
         # alternating tie break, committing every path to the cost array.
         cost = CostArray(circuit.n_channels, circuit.n_grids)
@@ -251,7 +207,13 @@ def bench_twobend_routing(quick: bool, repeats: int) -> Dict[str, object]:
                 paths[wire_idx] = result.path
         return cost.data.tobytes(), total_cost
 
-    times, outputs = compare_kernel_modes(churn, repeats)
+    times, outputs = interleaved_best(
+        {
+            "reference": lambda: churn(route_wire_reference),
+            "vectorized": lambda: churn(route_wire),
+        },
+        repeats,
+    )
     return entry(
         "twobend_routing",
         "kernel",
@@ -267,37 +229,49 @@ def bench_twobend_routing(quick: bool, repeats: int) -> Dict[str, object]:
 
 
 def bench_wavefront_routing(quick: bool, repeats: int) -> Dict[str, object]:
+    from repro.grid.cost_array import CostArray
     from repro.harness.experiments import quick_circuit
-    from repro.route.engine import SequentialRouter
+    from repro.route.engine import route_iteration_reference
+    from repro.route.quality import circuit_height
+    from repro.route.wavefront import route_iteration_wavefront
 
-    # The engine is where the wave-front kernel actually engages: under
-    # vectorized kernels SequentialRouter hands each iteration's wire list
-    # to route_iteration_wavefront, which partitions it into independence
-    # classes and routes each wave as one fused evaluation with grouped
-    # rip-up/commit passes.  The reference mode runs the scalar per-wire
-    # loop over the same wires in the same order.
+    # The SequentialRouter loop: route_iteration_wavefront partitions each
+    # iteration's wire list into independence classes and routes each
+    # wave as one fused evaluation with grouped rip-up/commit passes; the
+    # oracle runs the scalar per-wire loop over the same wires in the
+    # same order.
     circuit = quick_circuit("bnrE", True)
     iterations = 2 if quick else 4
 
-    def run() -> Tuple[object, ...]:
-        res = SequentialRouter(circuit, iterations=iterations).run()
+    def run(iterate) -> Tuple[object, ...]:
+        cost = CostArray(circuit.n_channels, circuit.n_grids)
+        paths: Dict[int, object] = {}
+        order = list(range(circuit.n_wires))
+        totals = []
+        for iteration in range(iterations):
+            totals.append(iterate(cost, circuit, order, paths, iteration % 2))
+            totals.append(circuit_height(cost))
         return (
-            res.cost.data.tobytes(),
-            res.quality,
-            res.work_cells,
-            tuple(res.per_iteration_height),
-            {w: p.flat_cells.tobytes() for w, p in res.paths.items()},
+            cost.data.tobytes(),
+            tuple(totals),
+            {w: p.flat_cells.tobytes() for w, p in paths.items()},
         )
 
-    times, outputs = compare_kernel_modes(run, repeats)
+    times, outputs = interleaved_best(
+        {
+            "reference": lambda: run(route_iteration_reference),
+            "vectorized": lambda: run(route_iteration_wavefront),
+        },
+        repeats,
+    )
     return entry(
         "wavefront_routing",
         "kernel",
         times["reference"],
         times["vectorized"],
         outputs["reference"] == outputs["vectorized"],
-        f"SequentialRouter, {circuit.n_wires} wires x {iterations} iterations; "
-        f"scalar loop vs wave-front batches",
+        f"SequentialRouter loop, {circuit.n_wires} wires x {iterations} "
+        f"iterations; scalar loop vs wave-front batches",
     )
 
 
@@ -306,18 +280,21 @@ def bench_wavefront_routing(quick: bool, repeats: int) -> Dict[str, object]:
 
 
 def bench_event_kernel(quick: bool, repeats: int) -> Dict[str, object]:
+    from repro.events.columnar import ColumnarEventQueue
+    from repro.events.queue import EventQueue
     from repro.events.sim import Simulator
 
     # T6-shaped event traffic: thousands of tiny events where fired
     # actions schedule their own follow-ups (a node activation schedules
-    # its commit) and retry churn cancels pending events.  The Simulator
-    # picks its queue by kernel mode — the per-event dataclass heap under
-    # reference, the columnar (time, seq) heap under vectorized — so this
+    # its commit) and retry churn cancels pending events.  The same
+    # Simulator loop runs over the per-event dataclass heap (the oracle)
+    # and the columnar (time, seq) heap it runs on in production, so this
     # measures exactly what the queue swap buys on a live schedule.
     n_seed_events = 2_000 if quick else 20_000
 
-    def run() -> Tuple[Tuple[Tuple[int, int], ...], int]:
+    def run(queue_cls) -> Tuple[Tuple[Tuple[int, int], ...], int]:
         sim = Simulator()
+        sim._queue = queue_cls()
         fired: List[Tuple[int, int]] = []
         pending: List[object] = []
         state = [0x123456789ABCDEF0]
@@ -347,7 +324,13 @@ def bench_event_kernel(quick: bool, repeats: int) -> Dict[str, object]:
         sim.run()
         return tuple(fired), sim.steps
 
-    times, outputs = compare_kernel_modes(run, repeats)
+    times, outputs = interleaved_best(
+        {
+            "reference": lambda: run(EventQueue),
+            "vectorized": lambda: run(ColumnarEventQueue),
+        },
+        repeats,
+    )
     return entry(
         "t6_event_kernel",
         "kernel",
@@ -356,107 +339,6 @@ def bench_event_kernel(quick: bool, repeats: int) -> Dict[str, object]:
         outputs["reference"] == outputs["vectorized"],
         f"{n_seed_events} seed events, depth-2 follow-up chains with "
         f"cancel churn; reference vs columnar queue",
-    )
-
-
-# ---------------------------------------------------------------------------
-# Wormhole link occupancy updates
-
-
-def bench_wormhole_links(quick: bool, repeats: int) -> Dict[str, object]:
-    from repro.events.sim import Simulator
-    from repro.netsim.message import Message
-    from repro.netsim.topology import MeshTopology
-    from repro.netsim.wormhole import WormholeNetwork
-
-    # MAX_PROCS-sized mesh: route lengths span both sides of the
-    # BATCH_MIN_HOPS crossover, so the scalar and batched reservation
-    # updates are both exercised.  Traffic mirrors the message passing
-    # router: mostly master<->worker task/result pairs (heavily repeated
-    # routes, warming the route cache) plus some worker-to-worker noise.
-    n_procs = 63
-    n_messages = 1_000 if quick else 10_000
-
-    def run() -> Tuple[int, ...]:
-        sim = Simulator()
-        deliveries: List[object] = []
-        net = WormholeNetwork(sim, MeshTopology(n_procs), deliveries.append)
-        state = 0x9E3779B97F4A7C15
-        for i in range(n_messages):
-            state = (state * 6364136223846793005 + 1) & (2**64 - 1)
-            worker = 1 + (state >> 40) % (n_procs - 1)
-            if i % 4 == 0:
-                src, dst = (state >> 16) % n_procs, (state >> 32) % n_procs
-            elif i % 2 == 0:
-                src, dst = 0, worker
-            else:
-                src, dst = worker, 0
-            net.send(Message(src, dst, 8 + (state >> 4) % 56, payload=i))
-        sim.run()
-        return tuple(
-            (d.message.payload, round(d.arrive_time * 1e12)) for d in deliveries
-        )
-
-    times, outputs = compare_kernel_modes(run, repeats)
-    return entry(
-        "wormhole_links",
-        "kernel",
-        times["reference"],
-        times["vectorized"],
-        outputs["reference"] == outputs["vectorized"],
-        f"{n_messages} random messages on a {n_procs}-node mesh",
-    )
-
-
-# ---------------------------------------------------------------------------
-# Event queue lazy cancellation + compaction
-
-
-def bench_event_queue(quick: bool, repeats: int) -> Dict[str, object]:
-    from repro.events.queue import EventQueue
-
-    class NoCompactQueue(EventQueue):
-        """The pre-compaction behaviour: dead entries linger in the heap."""
-
-        COMPACT_MIN = 1 << 60
-
-    n_events = 5_000 if quick else 50_000
-
-    def workload(queue_cls) -> Tuple[float, ...]:
-        q = queue_cls()
-        live = []
-        state = 0xC0FFEE
-        for i in range(n_events):
-            state = (state * 1103515245 + 12345) & (2**31 - 1)
-            live.append(q.push(state / 1e6, lambda: None))
-            # Retry/rendezvous pattern: most scheduled events get
-            # cancelled and replaced before they fire.
-            if len(live) >= 8:
-                for ev in live[:6]:
-                    q.cancel(ev)
-                del live[:6]
-        times = []
-        while True:
-            ev = q.pop()
-            if ev is None:
-                break
-            times.append(ev.time)
-        return tuple(times)
-
-    times, outputs = interleaved_best(
-        {
-            "reference": lambda: workload(NoCompactQueue),
-            "vectorized": lambda: workload(EventQueue),
-        },
-        repeats,
-    )
-    return entry(
-        "event_queue_cancel",
-        "kernel",
-        times["reference"],
-        times["vectorized"],
-        outputs["reference"] == outputs["vectorized"],
-        f"{n_events} pushes with 75% cancellation; compaction off vs on",
     )
 
 
@@ -491,14 +373,10 @@ def _s1_bench(name: str) -> Callable[[bool, int], Dict[str, object]]:
 
 
 BENCHES = {
-    "t3_whole_run": lambda quick, repeats: bench_whole_run("T3", quick, repeats),
-    "t6_whole_run": lambda quick, repeats: bench_whole_run("T6", quick, repeats),
     "coherence_sweep": bench_coherence_sweep,
     "twobend_routing": bench_twobend_routing,
     "wavefront_routing": bench_wavefront_routing,
     "t6_event_kernel": bench_event_kernel,
-    "wormhole_links": bench_wormhole_links,
-    "event_queue_cancel": bench_event_queue,
     "live_sm_speedup": bench_live_sm,
     "s1_plan_waves_10k": _s1_bench("s1_plan_waves_10k"),
     "s1_route_scaling_10k": _s1_bench("s1_route_scaling_10k"),
@@ -535,7 +413,7 @@ def check_against(fresh: Dict, baseline_path: Path) -> int:
     failures = []
     for e in fresh["entries"]:
         if not e["bit_identical"]:
-            failures.append(f"{e['id']}: outputs diverged between kernel modes")
+            failures.append(f"{e['id']}: outputs diverged between oracle and production kernel")
             continue
         if e.get("kind") == "live":
             # Real-parallelism wall clock depends on the host's core count

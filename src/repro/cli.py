@@ -30,10 +30,6 @@ Installed as ``locusroute`` (also ``python -m repro``).  Subcommands:
     Talk to a running daemon: submit jobs, poll status, fetch results,
     list the submission history.
 
-The global ``--kernels {vectorized,reference}`` flag (before the
-subcommand) selects the simulation kernel implementation process-wide;
-both produce bit-identical results (see :mod:`repro.kernels`).
-
 Examples
 --------
 ::
@@ -48,7 +44,7 @@ Examples
     locusroute experiment all --quick --out results/
     locusroute verify --quick
     locusroute profile T3 --quick
-    locusroute --kernels reference profile T3 T6 --quick --cprofile
+    locusroute profile T3 T6 --quick --cprofile
     locusroute serve --port 8642 --jobs 4
     locusroute jobs submit route --wires 160 --iterations 2 --wait
     locusroute jobs submit experiment --exp-id T1 --quick --wait
@@ -76,7 +72,6 @@ from .circuits import (
 from .errors import ReproError
 from .harness.pool import default_jobs
 from .harness.runner import BENCH_FILENAME, run_all
-from .kernels import KERNEL_MODES, set_kernels
 from .parallel import (
     run_dynamic_assignment,
     run_live_message_passing,
@@ -136,13 +131,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(Martonosi & Gupta, ICPP 1989)",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    parser.add_argument(
-        "--kernels",
-        choices=list(KERNEL_MODES),
-        default=None,
-        help="simulation kernel implementation (default: vectorized; both "
-        "modes produce bit-identical results)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_circuit = sub.add_parser("circuit", help="generate / inspect circuits")
@@ -378,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--cprofile",
         action="store_true",
         help="attach cProfile and print the top functions per experiment "
-        "(inflates Python-call-dense code; compare kernel modes by wall "
+        "(inflates Python-call-dense code; compare engines by wall "
         "clock, not by profiler output)",
     )
     p_profile.add_argument(
@@ -713,7 +701,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     print(f"{circuit.describe()}")
     print(
         f"live {result.paradigm}: {args.procs} processes "
-        f"({result.meta['start_method']} start, {result.meta['kernel_mode']} kernels)"
+        f"({result.meta['start_method']} start)"
     )
     for key, value in result.table_row().items():
         print(f"  {key}: {value}")
@@ -796,7 +784,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_profile(args: argparse.Namespace) -> int:
     from .harness import run_experiment
-    from .kernels import active_kernels
     from .obs import PhaseTimer, hot_counters, memory_snapshot, profile_call
 
     timer = PhaseTimer(track_memory=True)
@@ -818,7 +805,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         print(
             json.dumps(
                 {
-                    "kernels": active_kernels(),
                     "quick": args.quick,
                     "timing": timer.as_dict(),
                     "memory": memory,
@@ -829,7 +815,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
             )
         )
     else:
-        print(f"kernels: {active_kernels()}  quick: {args.quick}")
+        print(f"quick: {args.quick}")
         print(timer.render())
         print(
             f"memory: rss {memory['rss_bytes'] / 2**20:.1f}MB  "
@@ -992,8 +978,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     tracebacks.
     """
     args = build_parser().parse_args(argv)
-    if args.kernels is not None:
-        set_kernels(args.kernels)
     handlers = {
         "circuit": _cmd_circuit,
         "route": _cmd_route,

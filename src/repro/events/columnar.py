@@ -18,8 +18,8 @@ serves it at machine speed, instead of one Python object per row.
   event (schedule, fire) instead of travelling through every comparison.
 - **liveness** — a set of cancelled ``seq`` values; cancellation is a set
   insert, and dead entries are shed in *batch* by one filtered rebuild
-  (:meth:`_compact`) under the same dead-count heuristic as
-  :class:`EventQueue`, including from :meth:`peek_time`.
+  (:meth:`_compact`) once they outnumber the live ones, including from
+  :meth:`peek_time`.
 
 What deliberately did **not** land: batch-advancing a whole window of
 ready events in one vectorised step, the full order-statistics replay of
@@ -62,9 +62,9 @@ class ColumnarEventQueue:
     cancel-after-fire no-op).
     """
 
-    #: Compaction floor on the dead count — same heuristic and threshold
-    #: as :attr:`EventQueue.COMPACT_MIN`, so both queues rebuild at the
-    #: same points under the same cancellation load.
+    #: Compaction floor on the dead count: no rebuild happens until at
+    #: least this many cancelled keys linger (filtering a heap to shed a
+    #: handful costs more than skipping them on pop).
     COMPACT_MIN = 64
 
     __slots__ = (
@@ -143,9 +143,10 @@ class ColumnarEventQueue:
     def peek_time(self) -> Optional[float]:
         """Time of the earliest live event without popping it.
 
-        Dead heads are shed through the same batched compaction path as
-        :meth:`EventQueue.peek_time` once :data:`COMPACT_MIN` dead keys
-        have accumulated.
+        Dead heads are shed through the batched compaction path once
+        :data:`COMPACT_MIN` dead keys have accumulated, so a peek-heavy
+        caller (the time-bounded simulator loop) never drains a long dead
+        prefix one heappop at a time.
         """
         while True:
             heap = self._heap  # _compact() rebinds the heap list

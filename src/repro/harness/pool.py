@@ -62,7 +62,6 @@ from typing import (
 )
 
 from ..errors import ExperimentError
-from ..kernels import active_kernels, set_kernels
 
 __all__ = [
     "MAX_POOL_RESPAWNS",
@@ -108,16 +107,12 @@ def mp_context(method: Optional[str] = None):
     return multiprocessing.get_context(method)
 
 
-def _pool_worker_init(kernel_mode: str) -> None:
-    """Pool-worker initializer: re-establish per-process global state.
+def _pool_worker_init() -> None:
+    """Pool-worker initializer: start every worker with clean telemetry.
 
-    Under ``fork`` workers inherit the parent's globals, but under
-    ``spawn``/``forkserver`` they start from a fresh interpreter — the
-    :mod:`repro.kernels` mode would silently revert to its default and
-    telemetry would start dirty.  Explicitly propagating the kernel mode
-    keeps worker behaviour identical across start methods.
+    Under ``fork`` workers inherit the parent's counters; resetting them
+    keeps worker snapshots identical across start methods.
     """
-    set_kernels(kernel_mode)
     from ..obs import telemetry
 
     telemetry.reset()
@@ -222,7 +217,6 @@ def _pool_pass(
             max_workers=min(jobs, len(pending)),
             mp_context=mp_context(),
             initializer=_pool_worker_init,
-            initargs=(active_kernels(),),
         )
         broken: Optional[BaseException] = None
         resubmit: List[int] = []

@@ -30,13 +30,12 @@ hot spots delay delivery, while keeping the simulation O(D) per message.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
 
 import numpy as np
 
 from ..errors import NetworkError
 from ..events.sim import Simulator
-from ..kernels import active_kernels
 from .message import Delivery, Message
 from .stats import NetworkStats
 from .topology import MeshTopology
@@ -100,14 +99,9 @@ class WormholeNetwork:
         self.faults = faults
         self._link_free_at = np.zeros(topology.n_links, dtype=np.float64)
         self._link_busy_s = np.zeros(topology.n_links, dtype=np.float64)
-        # Routes are deterministic per (src, dst); the vectorised kernel
-        # caches them as (tuple, int64 array) pairs so the Python route
-        # walk is paid once per pair, and keeps a lazily grown [1, 2, ...]
-        # hop-index ladder for the batched reservation update.  The tuple
-        # feeds the scalar update used below BATCH_MIN_HOPS, the array
-        # feeds the fancy-indexed batch update above it.
-        self._route_cache: Dict[Tuple[int, int], Tuple[Tuple[int, ...], np.ndarray]] = {}
-        self._hop_steps = np.arange(1, 9, dtype=np.float64)
+        # Routes are deterministic per (src, dst): the Python route walk
+        # is paid once per pair.
+        self._route_cache: Dict[Tuple[int, int], Tuple[int, ...]] = {}
         self.stats = NetworkStats()
         # Conservation counters (independent of ``stats`` so the
         # verification layer can cross-check the two accounts).
@@ -175,22 +169,13 @@ class WormholeNetwork:
             delivery = self._transmit(message, t_inject, extra_delay_s)
         return delivery
 
-    #: Routes shorter than this use the scalar reservation update even in
-    #: vectorised mode: fancy indexing costs ~1.5 us of fixed overhead,
-    #: which only amortises past ~8 links (measured crossover).  Mesh
-    #: diameters at MAX_PROCS stay near this boundary, so both branches
-    #: are exercised by realistic topologies.
-    BATCH_MIN_HOPS = 8
-
-    def _cached_route(self, src: int, dst: int) -> Tuple[Tuple[int, ...], np.ndarray]:
-        """The deterministic route, cached as a (tuple, int64 array) pair."""
+    def _cached_route(self, src: int, dst: int) -> Tuple[int, ...]:
+        """The deterministic route from *src* to *dst*, as link indices."""
         key = (src, dst)
-        cached = self._route_cache.get(key)
-        if cached is None:
-            route = self.topology.route(src, dst)
-            cached = (tuple(route), np.asarray(route, dtype=np.int64))
-            self._route_cache[key] = cached
-        return cached
+        route = self._route_cache.get(key)
+        if route is None:
+            route = self._route_cache[key] = tuple(self.topology.route(src, dst))
+        return route
 
     def _transmit(
         self, message: Message, t_inject: float, extra_delay_s: float
@@ -203,50 +188,29 @@ class WormholeNetwork:
             hops = 0
             arrive = t_inject + 2 * self.process_time_s + extra_delay_s
         else:
-            vectorized = active_kernels() == "vectorized"
-            if vectorized:
-                links_seq, links = self._cached_route(message.src, message.dst)
-                hops = len(links_seq)
-            else:
-                links = self.topology.route(message.src, message.dst)
-                links_seq = links
-                hops = len(links)
-            batch = vectorized and hops >= self.BATCH_MIN_HOPS
+            links = self._cached_route(message.src, message.dst)
+            hops = len(links)
             # The train may start once the source has copied the packet
-            # out and every link on the route is free.
+            # out and every link on the route is free.  Routes are short
+            # (at most 6 links at 16 processors), where a scalar loop
+            # beats NumPy fancy indexing.
             earliest = t_inject + self.process_time_s
-            if batch or not vectorized:
-                earliest = max(earliest, float(self._link_free_at[links].max()))
-            else:
-                free = self._link_free_at
-                for link in links_seq:
-                    t = free[link]
-                    if t > earliest:
-                        earliest = t
-                earliest = float(earliest)
+            free = self._link_free_at
+            for link in links:
+                t = free[link]
+                if t > earliest:
+                    earliest = t
+            earliest = float(earliest)
             if self.faults is not None:
                 earliest = self.faults.outage_release(links, earliest)
             t_start = earliest
             # Link i is held until the tail byte has crossed it; the flit
             # train itself occupies each link for (L + 1) byte-times.
-            # Dimension-order routes never revisit a link, so the fancy
-            # indexed batch assignment touches each entry exactly once.
-            if batch:
-                while self._hop_steps.size < hops:
-                    self._hop_steps = np.arange(
-                        1, 2 * self._hop_steps.size + 1, dtype=np.float64
-                    )
-                steps = self._hop_steps[:hops]
-                self._link_free_at[links] = t_start + self.hop_time_s * (
-                    steps + length
+            for i, link in enumerate(links):
+                self._link_free_at[link] = t_start + self.hop_time_s * (
+                    i + 1 + length
                 )
-                self._link_busy_s[links] += self.hop_time_s * (length + 1)
-            else:
-                for i, link in enumerate(links_seq):
-                    self._link_free_at[link] = t_start + self.hop_time_s * (
-                        i + 1 + length
-                    )
-                    self._link_busy_s[link] += self.hop_time_s * (length + 1)
+                self._link_busy_s[link] += self.hop_time_s * (length + 1)
             transfer_s = self.hop_time_s * (hops + length)
             arrive = t_start + transfer_s + self.process_time_s + extra_delay_s
             if self.faults is not None:

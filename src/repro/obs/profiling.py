@@ -6,17 +6,17 @@ Three layers, from cheapest to heaviest:
   (circuit build vs simulation vs coherence sweep).  Phases also report
   into the global :mod:`~repro.obs.telemetry` spans as ``profile.<name>``
   so they merge across worker processes like any other span.
-- :func:`hot_counters` — the telemetry counters the vectorised kernels
+- :func:`hot_counters` — the telemetry counters the production kernels
   maintain on their hot paths (events replayed, columnar events, messages
   switched), snapshotted as a plain dict for reports.
 - :func:`profile_call` — a :mod:`cProfile` hook around an arbitrary
   callable, returning the callable's result together with the formatted
   top-N table.  This is the heavy option: the profiler inflates
-  Python-call-dense code (the reference kernels) far more than
-  NumPy-dense code (the vectorised kernels), so use the wall-clock
-  numbers from :class:`PhaseTimer` or ``benchmarks/bench_perf_suite.py``
-  when comparing kernel modes, and ``profile_call`` only to find *where*
-  time goes inside one mode.
+  Python-call-dense code (the scalar oracles) far more than NumPy-dense
+  code (the production kernels), so use the wall-clock numbers from
+  :class:`PhaseTimer` or ``benchmarks/bench_perf_suite.py`` when
+  comparing an oracle with its production engine, and ``profile_call``
+  only to find *where* time goes inside one engine.
 
 Used by the ``locusroute profile`` subcommand and the performance
 regression suite (``benchmarks/bench_perf_suite.py``).

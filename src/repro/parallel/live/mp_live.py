@@ -51,7 +51,6 @@ from ...grid.bbox import BBox
 from ...grid.cost_array import CostArray
 from ...grid.delta import DeltaArray
 from ...grid.regions import RegionMap
-from ...kernels import active_kernels, set_kernels
 from ...obs import telemetry as obs
 from ...route.path import RoutePath
 from ...route.quality import QualityReport, circuit_height
@@ -82,13 +81,11 @@ class _NodeConfig:
     wires: Tuple[int, ...]
     schedule: UpdateSchedule
     policy: RecoveryPolicy
-    kernel_mode: str
     log_path: str
 
 
 def _mp_node(cfg: _NodeConfig, control, peer_conns: Dict[int, object]) -> None:
     """Node process body (module-level: picklable under spawn)."""
-    set_kernels(cfg.kernel_mode)
     circuit = cfg.circuit
     me = cfg.node
     regions = RegionMap(circuit.n_channels, circuit.n_grids, cfg.n_procs)
@@ -164,13 +161,26 @@ def _mp_node(cfg: _NodeConfig, control, peer_conns: Dict[int, object]) -> None:
         # by the live router; silently ignoring them keeps the node
         # robust to protocol evolution.
 
+    def service(conn) -> None:
+        """Handle every packet buffered on *conn*; forget a peer that left.
+
+        A peer that has already said ``bye`` closes its pipe ends, so its
+        connection reads as EOF (or a reset) rather than a packet.
+        """
+        try:
+            while conn.poll():
+                handle_packet(conn.recv())
+        except (EOFError, ConnectionResetError):
+            for peer, peer_conn in list(peer_conns.items()):
+                if peer_conn is conn:
+                    del peer_conns[peer]
+
     def drain(timeout_s: float = 0.0) -> None:
         """Service every deliverable peer packet (bounded wait)."""
         conns = list(peer_conns.values())
         ready = conn_wait(conns, timeout=timeout_s) if conns else []
         for conn in ready:
-            while conn.poll():
-                handle_packet(conn.recv())
+            service(conn)
 
     def request_regions(wire_bbox) -> None:
         """Fire ReqRmtData at every foreign owner the wire touches."""
@@ -310,15 +320,14 @@ def _mp_node(cfg: _NodeConfig, control, peer_conns: Dict[int, object]) -> None:
         while True:
             # Park at the barrier, but keep answering peer requests —
             # a blocking requester must never deadlock on a parked node.
-            waitables = [control] + list(peer_conns.values())
             msg = None
             while msg is None:
+                waitables = [control] + list(peer_conns.values())
                 for obj in conn_wait(waitables, timeout=0.25):
                     if obj is control:
                         msg = control.recv()
                         break
-                    while obj.poll():
-                        handle_packet(obj.recv())
+                    service(obj)
             if msg[0] == "stop":
                 control.send(("bye", dict(stats), view.data))
                 break
@@ -335,7 +344,6 @@ def run_live_message_passing(
     iterations: int = 3,
     assignment: Optional[Assignment] = None,
     policy: RecoveryPolicy = DEFAULT_LIVE_POLICY,
-    kernel_mode: Optional[str] = None,
     start_method: Optional[str] = None,
     timeout_s: float = 120.0,
     keep_logs_dir: Optional[str] = None,
@@ -359,7 +367,6 @@ def run_live_message_passing(
         schedule = UpdateSchedule.sender_initiated(1, 1)
     if schedule.req_loc_every is not None:
         raise SimulationError("ReqLocData schedules are not supported live")
-    kernel_mode = kernel_mode or active_kernels()
 
     from ...harness.pool import mp_context
     from ..mp_sim import default_assignment
@@ -403,7 +410,6 @@ def run_live_message_passing(
                 wires=tuple(int(w) for w in per_node[p]),
                 schedule=schedule,
                 policy=policy,
-                kernel_mode=kernel_mode,
                 log_path=log_paths[p],
             )
             parent_end, child_end = ctx.Pipe(duplex=True)
@@ -551,7 +557,6 @@ def run_live_message_passing(
         "schedule": schedule.describe(),
         "assignment": assignment.method,
         "start_method": ctx.get_start_method(),
-        "kernel_mode": kernel_mode,
         "traffic": traffic,
         "view_divergence_max": max(divergence) if divergence else 0,
         "replay": {

@@ -53,7 +53,6 @@ import numpy as np
 from ...circuits.model import Circuit
 from ...errors import SimulationError
 from ...grid.cost_array import CostArray
-from ...kernels import active_kernels, set_kernels
 from ...obs import telemetry as obs
 from ...route.path import RoutePath
 from ...route.quality import QualityReport, circuit_height
@@ -119,7 +118,6 @@ class _WorkerConfig:
     n_workers: int
     shm_name: str
     log_path: str
-    kernel_mode: str
     kill: Optional[Tuple[int, str]]  #: (after_commits, point) or None
 
 
@@ -151,7 +149,6 @@ def _sm_worker(
     commit_lock,
 ) -> None:
     """Worker process body (module-level: picklable under spawn)."""
-    set_kernels(cfg.kernel_mode)
     shm, data = _attach_shared_array(
         cfg.shm_name, (cfg.circuit.n_channels, cfg.circuit.n_grids)
     )
@@ -296,7 +293,6 @@ def run_live_shared_memory(
     n_procs: int = 2,
     iterations: int = 3,
     seed: Optional[int] = None,
-    kernel_mode: Optional[str] = None,
     start_method: Optional[str] = None,
     kill_plan: Sequence[KillPlanEntry] = (),
     respawn: bool = True,
@@ -312,10 +308,6 @@ def run_live_shared_memory(
     seed:
         ``None`` keeps the natural wire order (matching the simulator's
         distributed loop); an int shuffles it deterministically.
-    kernel_mode:
-        Routing kernels for the workers (defaults to the caller's
-        :func:`~repro.kernels.active_kernels` — explicitly forwarded
-        because spawn-started children do not inherit the global).
     start_method:
         ``fork`` / ``spawn`` / ``forkserver``; defaults to the
         :data:`repro.harness.pool.START_METHOD_ENV` environment override
@@ -348,7 +340,6 @@ def run_live_shared_memory(
         raise SimulationError("kill plan names a worker slot twice")
     if len(kill_plan) >= n_procs and not respawn:
         raise SimulationError("at least one worker must survive the kill plan")
-    kernel_mode = kernel_mode or active_kernels()
 
     from ...harness.pool import mp_context
 
@@ -411,7 +402,6 @@ def run_live_shared_memory(
             n_workers=n_procs,
             shm_name=shm.name,
             log_path=log_path,
-            kernel_mode=kernel_mode,
             # A respawned worker never re-arms the kill switch, so the
             # stress plan terminates.
             kill=kill_by_slot.get(slot) if incarnation == 0 else None,
@@ -667,7 +657,6 @@ def run_live_shared_memory(
         "n_procs": n_procs,
         "iterations": iterations,
         "start_method": ctx.get_start_method(),
-        "kernel_mode": kernel_mode,
         "order_seed": seed,
         "replay": {
             "commits": replay.commits,

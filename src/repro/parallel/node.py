@@ -46,7 +46,6 @@ from ..grid.cost_array import CostArray
 from ..grid.delta import DeltaArray
 from ..grid.ownership import OwnershipMap
 from ..grid.regions import RegionMap
-from ..kernels import active_kernels
 from ..route.path import RoutePath
 from ..route.twobend import route_wire
 from ..route.workmodel import (
@@ -62,7 +61,7 @@ from ..updates.packets import (
     build_loc_data,
     build_request,
     build_response,
-    build_rmt_data,
+    build_rmt_data,  # noqa: F401 - unused here; perfbench traces node's packet builders
 )
 from ..updates.schedule import UpdateSchedule
 from ..updates.structures import PacketStructure, wire_based_bytes
@@ -810,10 +809,11 @@ class MPNode:
     def _send_rmt_data(self) -> None:
         """Push accumulated deltas of every remote region to its owner.
 
-        Under the vectorised kernels the per-region delta scans collapse
-        into one :meth:`DeltaArray.dirty_bboxes_by_owner` pass; packets,
-        ordering, and accounted scan work are identical either way (the
-        simulated scan cost models the original program's full sweep).
+        The per-region delta scans collapse into one
+        :meth:`DeltaArray.dirty_bboxes_by_owner` pass; packets match
+        :func:`~repro.updates.packets.build_rmt_data` region by region,
+        and the accounted scan work still models the original program's
+        full sweep.
         """
         owned = set(self._owned_region_indices())
         scan_area = self._total_area - sum(
@@ -821,10 +821,7 @@ class MPNode:
         )
         self.work.add_scan(scan_area)
         self.clock += self.cost_model.work_time(SCAN_CELL_UNITS * scan_area)
-        if active_kernels() == "vectorized":
-            dirty_by_owner = self.delta.dirty_bboxes_by_owner(self.regions)
-        else:
-            dirty_by_owner = None
+        dirty_by_owner = self.delta.dirty_bboxes_by_owner(self.regions)
         for owner in range(self.regions.n_procs):
             if owner in owned:
                 continue
@@ -832,22 +829,17 @@ class MPNode:
             if dst == self.proc:  # pragma: no cover - owned covers this
                 continue
             region = self.regions.region(owner)
-            if dirty_by_owner is None:
-                packet = build_rmt_data(self.proc, owner, self.delta, region)
-            else:
-                dirty = dirty_by_owner.get(owner)
-                packet = None
-                if dirty is not None:
-                    packet = UpdatePacket(
-                        kind=UpdateKind.SEND_RMT_DATA,
-                        src=self.proc,
-                        dst=owner,
-                        bbox=dirty,
-                        values=self.delta.extract(dirty),
-                        region_owner=owner,
-                    )
-            if packet is None:
+            dirty = dirty_by_owner.get(owner)
+            if dirty is None:
                 continue
+            packet = UpdatePacket(
+                kind=UpdateKind.SEND_RMT_DATA,
+                src=self.proc,
+                dst=owner,
+                bbox=dirty,
+                values=self.delta.extract(dirty),
+                region_owner=owner,
+            )
             if dst != owner:
                 # The region's original owner is dead: redirect the delta
                 # push to the adopter (the region identity stays in

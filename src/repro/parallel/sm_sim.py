@@ -40,7 +40,6 @@ from ..events.sim import Simulator
 from ..grid.cost_array import CostArray
 from ..grid.regions import RegionMap
 from ..memsim.addressing import AddressMap
-from ..kernels import active_kernels
 from ..memsim.coherence import simulate_trace
 from ..memsim.columnar import ColumnarTrace
 from ..memsim.update_protocol import simulate_trace_write_update
@@ -364,11 +363,7 @@ def run_shared_memory(
         # without it, the invalidate sweep runs on the columnar engine,
         # flattening the trace once and replaying it per line size.
         columnar = None
-        if (
-            protocol == "invalidate"
-            and report is None
-            and active_kernels() == "vectorized"
-        ):
+        if protocol == "invalidate" and report is None:
             columnar = ColumnarTrace.from_trace(tango.trace)
         for ls in [line_size, *extra_line_sizes]:
             if ls in by_line:

@@ -17,18 +17,22 @@ The sequential router serves three roles in the reproduction:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..circuits.model import Circuit
 from ..errors import RoutingError
 from ..grid.cost_array import CostArray
-from ..kernels import active_kernels
 from .path import RoutePath
 from .quality import QualityReport, circuit_height
-from .twobend import WireRoute, route_wire
+from .twobend import route_wire_reference
 from .wavefront import route_iteration_wavefront
 
-__all__ = ["SequentialRouter", "SequentialResult", "DEFAULT_ITERATIONS"]
+__all__ = [
+    "SequentialRouter",
+    "SequentialResult",
+    "DEFAULT_ITERATIONS",
+    "route_iteration_reference",
+]
 
 #: Default rip-up-and-reroute iteration count.  Rose reports quality
 #: saturating after a few iterations; three keeps runs fast while leaving
@@ -86,32 +90,16 @@ class SequentialRouter:
         paths: Dict[int, RoutePath] = {}
         total_work = 0
         heights: List[int] = []
-        occupancy = 0
 
-        wavefront = active_kernels() == "vectorized" and circuit.n_wires > 0
         for iteration in range(self.iterations):
-            if wavefront:
-                # Batched wave-front routing: partitions this iteration's
-                # wires into independence classes and routes each class in
-                # one fused evaluation.  Bit-identical to the scalar loop
-                # below (locusroute verify replays both).
-                occupancy, work = route_iteration_wavefront(
-                    cost, circuit, order, paths, tie_break=iteration % 2
-                )
-                total_work += work
-            else:
-                occupancy = 0
-                for wire_idx in order:
-                    wire = circuit.wire(wire_idx)
-                    if wire_idx in paths:
-                        cost.remove_path(paths[wire_idx].flat_cells)
-                    result: WireRoute = route_wire(
-                        cost, wire, tie_break=iteration % 2
-                    )
-                    total_work += result.work_cells
-                    occupancy += result.cost
-                    cost.apply_path(result.path.flat_cells)
-                    paths[wire_idx] = result.path
+            # Batched wave-front routing: partitions this iteration's wires
+            # into independence classes and routes each class in one fused
+            # evaluation.  Bit-identical to route_iteration_reference
+            # (locusroute verify replays both).
+            occupancy, work = route_iteration_wavefront(
+                cost, circuit, order, paths, tie_break=iteration % 2
+            )
+            total_work += work
             heights.append(circuit_height(cost))
 
         quality = QualityReport(
@@ -126,3 +114,31 @@ class SequentialRouter:
             per_iteration_height=heights,
             cost=cost,
         )
+
+
+def route_iteration_reference(
+    cost: CostArray,
+    circuit: Circuit,
+    order: Sequence[int],
+    paths: Dict[int, RoutePath],
+    tie_break: int,
+) -> Tuple[int, int]:
+    """One rip-up-and-reroute iteration, one wire at a time (the oracle).
+
+    The scalar loop of paper §3 that
+    :func:`~repro.route.wavefront.route_iteration_wavefront` batches: same
+    signature, same mutations of *cost* and *paths*, and the same
+    ``(occupancy, work_cells)`` return value, bit for bit.
+    """
+    occupancy = 0
+    work = 0
+    for wire_idx in order:
+        wire = circuit.wire(wire_idx)
+        if wire_idx in paths:
+            cost.remove_path(paths[wire_idx].flat_cells)
+        result = route_wire_reference(cost, wire, tie_break=tie_break)
+        work += result.work_cells
+        occupancy += result.cost
+        cost.apply_path(result.path.flat_cells)
+        paths[wire_idx] = result.path
+    return occupancy, work

@@ -47,7 +47,6 @@ from ..circuits.model import Pin, Wire
 from ..errors import RoutingError
 from ..grid.bbox import BBox
 from ..grid.cost_array import CostArray
-from ..kernels import active_kernels
 from .path import RoutePath
 
 __all__ = [
@@ -57,7 +56,6 @@ __all__ = [
     "segment_cells",
     "route_wire",
     "route_wire_reference",
-    "route_wire_vectorized",
     "MAX_CANDIDATES",
 ]
 
@@ -282,7 +280,11 @@ def _candidate_columns(x1: int, x2: int) -> np.ndarray:
 def route_wire_reference(
     cost: CostArray, wire: Wire, tie_break: int = 0
 ) -> WireRoute:
-    """Per-segment reference evaluation (the differential oracle)."""
+    """Per-segment reference evaluation (the differential oracle).
+
+    Routes each segment with :func:`route_segment` and unions the cells;
+    :func:`route_wire` must match it bit for bit.
+    """
     seg_routes: List[SegmentRoute] = []
     cell_parts: List[np.ndarray] = []
     work = 0
@@ -300,45 +302,7 @@ def route_wire_reference(
     )
 
 
-def route_wire_vectorized(
-    cost: CostArray, wire: Wire, tie_break: int = 0
-) -> WireRoute:
-    """Fused whole-wire evaluation (one prefix-table build per wire).
-
-    Delegates to :func:`repro.route.wavefront.route_wire_fused`: one
-    :meth:`CostArray.block_prefix_tables` call prices every candidate of
-    every segment of the wire in stacked array arithmetic, with no
-    per-wire cache invalidation tax (the earlier write-invalidated prefix
-    cache paid invalidation on every parallel-commit, which made it a net
-    loss on the T6 path).  Output is bit-identical to
-    :func:`route_wire_reference`.
-    """
-    global _route_wire_fused
-    if _route_wire_fused is None:
-        from .wavefront import route_wire_fused as _fused
-
-        _route_wire_fused = _fused
-    return _route_wire_fused(cost, wire, tie_break=tie_break)
-
-
-#: Lazily resolved to break the twobend <-> wavefront import cycle.
-_route_wire_fused = None
-
-
-def route_wire(cost: CostArray, wire: Wire, tie_break: int = 0) -> WireRoute:
-    """Route every segment of *wire* against *cost* and union the cells.
-
-    The cost array is *not* modified; callers decide when to commit the
-    path (sequential router: immediately; parallel simulators: at the
-    wire's commit event).  The reported wire cost prices the *deduplicated*
-    footprint, so a cell crossed by two segments of the same wire counts
-    once — consistent with the one-increment-per-cell occupancy rule.
-    ``tie_break`` is forwarded to the segment evaluator.
-
-    Dispatches on :func:`repro.kernels.active_kernels`: the vectorised
-    per-wire prefix-table kernel by default, the per-segment reference
-    kernel under ``reference`` mode.  Both produce bit-identical routes.
-    """
-    if active_kernels() == "vectorized":
-        return route_wire_vectorized(cost, wire, tie_break=tie_break)
-    return route_wire_reference(cost, wire, tie_break=tie_break)
+# The production evaluator is the fused whole-wire kernel.  It lives in
+# the wave-front module, which builds on this module's types, so it is
+# bound after them (the package imports this module first).
+from .wavefront import route_wire_fused as route_wire  # noqa: E402

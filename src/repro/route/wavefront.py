@@ -539,10 +539,21 @@ def _build_path(geom: WireGeometry, xvs: Sequence[int], n_grids: int) -> RoutePa
 
 
 def route_wire_fused(cost: CostArray, wire: Wire, tie_break: int = 0) -> WireRoute:
-    """Fused single-wire evaluation — a one-wire wave.
+    """Route every segment of *wire* against *cost* and union the cells.
 
-    Bit-identical to :func:`repro.route.twobend.route_wire_reference`,
-    including the per-segment :class:`SegmentRoute` detail records.
+    The production evaluator, exported as
+    :func:`repro.route.twobend.route_wire`: a one-wire wave, where one
+    :meth:`CostArray.block_prefix_tables` call prices every candidate of
+    every segment in stacked array arithmetic.
+
+    The cost array is *not* modified; callers decide when to commit the
+    path (sequential router: immediately; parallel simulators: at the
+    wire's commit event).  The reported wire cost prices the
+    *deduplicated* footprint, so a cell crossed by two segments of the
+    same wire counts once — consistent with the one-increment-per-cell
+    occupancy rule.  Bit-identical to
+    :func:`repro.route.twobend.route_wire_reference`, including the
+    per-segment :class:`SegmentRoute` detail records.
     """
     if tie_break not in (0, 1):
         raise RoutingError(f"tie_break must be 0 or 1, got {tie_break}")

@@ -56,6 +56,11 @@ from .repository import Repository
 __all__ = ["RoutingService", "ServiceServer", "serve", "DEFAULT_PORT"]
 
 DEFAULT_PORT = 8642
+#: Largest request body the daemon reads; a job spec is a few hundred bytes.
+MAX_BODY_BYTES = 1 << 20
+#: Per-request socket timeout: a client that stalls mid-request is dropped
+#: instead of holding a handler thread forever.
+REQUEST_TIMEOUT_S = 30.0
 
 
 class RoutingService:
@@ -341,6 +346,7 @@ class _Handler(BaseHTTPRequestHandler):
 
     server_version = "locusroute-service/1"
     protocol_version = "HTTP/1.1"
+    timeout = REQUEST_TIMEOUT_S
 
     def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
         pass  # the daemon's stdout belongs to the operator, not access logs
@@ -349,13 +355,33 @@ class _Handler(BaseHTTPRequestHandler):
     def service(self) -> RoutingService:
         return self.server.service  # type: ignore[attr-defined]
 
-    def _send(self, code: int, payload: Dict[str, Any]) -> None:
+    def _send(self, code: int, payload: Dict[str, Any], close: bool = False) -> None:
         body = json.dumps(payload, indent=1).encode("utf-8")
         self.send_response(code)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if close:
+            # The unread body would otherwise be parsed as the next request.
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
+
+    def _read_body(self) -> Optional[bytes]:
+        """The request body, or ``None`` once a bad length has been answered."""
+        raw = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(raw)
+        except ValueError:
+            length = -1
+        if length < 0:
+            self._send(400, {"error": f"bad Content-Length {raw!r}"}, close=True)
+            return None
+        if length > MAX_BODY_BYTES:
+            self._send(
+                413, {"error": f"request body over {MAX_BODY_BYTES} bytes"}, close=True
+            )
+            return None
+        return self.rfile.read(length)
 
     def do_GET(self) -> None:  # noqa: N802
         parsed = urlparse(self.path)
@@ -368,7 +394,11 @@ class _Handler(BaseHTTPRequestHandler):
             params = dict(
                 pair.split("=", 1) for pair in parsed.query.split("&") if "=" in pair
             )
-            limit = int(params.get("limit", 200))
+            try:
+                limit = int(params.get("limit", 200))
+            except ValueError:
+                self._send(400, {"error": f"bad limit {params['limit']!r}"})
+                return
             status = params.get("status")
             self._send(200, {"jobs": self.service.repository.jobs(status, limit)})
         elif len(parts) == 2 and parts[0] == "jobs":
@@ -396,9 +426,11 @@ class _Handler(BaseHTTPRequestHandler):
         if parsed.path.rstrip("/") != "/jobs":
             self._send(404, {"error": f"no such endpoint {parsed.path!r}"})
             return
-        length = int(self.headers.get("Content-Length") or 0)
+        raw = self._read_body()
+        if raw is None:
+            return
         try:
-            body = json.loads(self.rfile.read(length) or b"{}")
+            body = json.loads(raw or b"{}")
             if not isinstance(body, dict):
                 raise ValueError("body must be a JSON object")
         except ValueError as exc:

@@ -84,6 +84,12 @@ _PARAM_SCHEMA: Dict[str, Dict[str, Any]] = {
     },
     "experiment": {"exp_id": ..., "quick": False},
 }
+#: Parameters that must be JSON integers (or ``null`` where that is the
+#: default).
+_INT_PARAMS = frozenset({
+    "iterations", "n_procs", "line_size", "n_wires",
+    "send_loc", "send_rmt", "req_loc", "req_rmt",
+})
 
 
 @dataclass(frozen=True)
@@ -116,7 +122,15 @@ class JobSpec:
         canonical: Dict[str, Any] = {}
         for name, default in schema.items():
             if name in params:
-                canonical[name] = params[name]
+                value = canonical[name] = params[name]
+                if (
+                    name in _INT_PARAMS
+                    and not (value is None and default is None)
+                    and (isinstance(value, bool) or not isinstance(value, int))
+                ):
+                    raise ServiceError(
+                        f"{kind} parameter {name!r} must be an integer, got {value!r}"
+                    )
             elif default is ...:
                 raise ServiceError(f"{kind} jobs require the {name!r} parameter")
             else:

@@ -1,12 +1,20 @@
-"""Scalar-vs-vectorized kernel equivalence checks for ``locusroute verify``.
+"""Production-vs-oracle kernel equivalence checks for ``locusroute verify``.
 
-The vectorised kernels (:mod:`repro.memsim.columnar`, the prefix-cached
-two-bend router, the batched wormhole reservation update) promise
-*bit-identical* output to their scalar reference counterparts.  The
-hypothesis suites fuzz that promise; this module re-verifies it at
-``locusroute verify`` time on workloads derived from the verify run's
-own circuit, so a verification sweep also certifies the kernel pair the
-simulators are about to dispatch to.
+Each hot path has one production engine and keeps its scalar reference
+engine as a differential oracle, called here by name:
+
+===========  ======================================  ==============================
+check        production                              oracle
+===========  ======================================  ==============================
+coherence    ``memsim.columnar``                     ``memsim.coherence``
+twobend      ``route.twobend.route_wire`` (fused)    ``route_wire_reference``
+wavefront    ``route_iteration_wavefront``           ``route_iteration_reference``
+event_queue  ``events.columnar.ColumnarEventQueue``  ``events.queue.EventQueue``
+===========  ======================================  ==============================
+
+Both engines promise *bit-identical* output.  The hypothesis suites fuzz
+that promise; this module re-verifies it at ``locusroute verify`` time on
+workloads derived from the verify run's own circuit.
 
 Each check returns ``{"identical": bool, "detail": str}``; any
 non-identical check fails the overall verify verdict.
@@ -20,7 +28,6 @@ import numpy as np
 
 from ..circuits.model import Circuit
 from ..grid.cost_array import CostArray
-from ..kernels import use_kernels
 
 __all__ = ["run_kernel_equivalence"]
 
@@ -67,8 +74,8 @@ def _coherence_check(circuit: Circuit, n_procs: int) -> Dict[str, object]:
 
 
 def _twobend_check(circuit: Circuit, iterations: int) -> Dict[str, object]:
-    """Reference vs prefix-cached router through rip-up/reroute churn."""
-    from ..route.twobend import route_wire_reference, route_wire_vectorized
+    """Reference vs fused two-bend router through rip-up/reroute churn."""
+    from ..route.twobend import route_wire, route_wire_reference
 
     def churn(router) -> Tuple[bytes, Tuple]:
         cost = CostArray(circuit.n_channels, circuit.n_grids)
@@ -85,7 +92,7 @@ def _twobend_check(circuit: Circuit, iterations: int) -> Dict[str, object]:
         return cost.data.tobytes(), tuple(cells)
 
     ref = churn(route_wire_reference)
-    vec = churn(route_wire_vectorized)
+    vec = churn(route_wire)
     identical = ref == vec
     detail = (
         f"{circuit.n_wires} wires x {iterations} rip-up/reroute iterations"
@@ -96,36 +103,33 @@ def _twobend_check(circuit: Circuit, iterations: int) -> Dict[str, object]:
 
 
 def _wavefront_check(circuit: Circuit, iterations: int) -> Dict[str, object]:
-    """Wave-front batched engine vs the scalar sequential loop.
+    """Wave-front batched iterations vs the scalar per-wire loop.
 
-    Runs the full :class:`SequentialRouter` under both kernel modes —
-    the vectorised mode routes each iteration in disjoint-footprint
-    waves through one fused evaluation — and demands bit-identical
-    paths, work accounting, occupancy, and final cost array.
+    Drives both iteration engines through the same rip-up/reroute
+    schedule and demands bit-identical occupancy, work accounting, paths
+    and final cost array.
     """
-    from ..route.engine import SequentialRouter
+    from ..route.engine import route_iteration_reference
+    from ..route.wavefront import route_iteration_wavefront
 
-    def run() -> Tuple:
-        result = SequentialRouter(circuit, iterations=max(iterations, 2)).run()
-        paths = tuple(
-            tuple(result.paths[i].flat_cells.tolist())
-            for i in sorted(result.paths)
+    n_iterations = max(iterations, 2)
+
+    def run(iterate) -> Tuple:
+        cost = CostArray(circuit.n_channels, circuit.n_grids)
+        paths: Dict[int, object] = {}
+        order = list(range(circuit.n_wires))
+        totals = tuple(
+            iterate(cost, circuit, order, paths, it % 2) for it in range(n_iterations)
         )
         return (
-            result.quality,
-            result.work_cells,
-            tuple(result.per_iteration_height),
-            result.cost.data.tobytes(),
-            paths,
+            totals,
+            cost.data.tobytes(),
+            tuple(tuple(paths[i].flat_cells.tolist()) for i in sorted(paths)),
         )
 
-    with use_kernels("reference"):
-        ref = run()
-    with use_kernels("vectorized"):
-        vec = run()
-    identical = ref == vec
+    identical = run(route_iteration_reference) == run(route_iteration_wavefront)
     detail = (
-        f"{circuit.n_wires} wires x {max(iterations, 2)} batched iterations"
+        f"{circuit.n_wires} wires x {n_iterations} batched iterations"
         if identical
         else "wave-front routing diverged from the sequential loop"
     )
@@ -139,73 +143,36 @@ def _event_queue_check(circuit: Circuit) -> Dict[str, object]:
     nested reschedules, cancellations, simultaneous events — and
     compares the fired sequence exactly.
     """
-    from ..events.sim import Simulator
+    from ..events.columnar import ColumnarEventQueue
+    from ..events.queue import EventQueue
 
-    def run() -> Tuple:
-        sim = Simulator()
+    def run(queue) -> Tuple:
         fired: List[Tuple[float, int]] = []
         handles: List[object] = []
+        now = 0.0
 
         def fire(tag: int) -> None:
-            fired.append((sim.now, tag))
+            fired.append((now, tag))
             if tag < 1000 and tag % 4 == 0:
-                handles.append(sim.after(0.5, lambda t=tag: fire(t + 1000)))
+                handles.append(queue.push(now + 0.5, lambda t=tag: fire(t + 1000)))
             if tag % 5 == 0 and handles:
-                sim.cancel(handles.pop(0))
+                queue.cancel(handles.pop(0))
 
         for idx in range(circuit.n_wires):
             wire = circuit.wire(idx)
             t = float(wire.leftmost_pin.x + wire.length_cost() % 7)
-            sim.at(t, lambda tag=idx: fire(tag))
-        sim.run()
+            queue.push(t, lambda tag=idx: fire(tag))
+        while (nxt := queue.pop_next()) is not None:
+            now, action = nxt
+            action()
         return tuple(fired)
 
-    with use_kernels("reference"):
-        ref = run()
-    with use_kernels("vectorized"):
-        vec = run()
-    identical = ref == vec
+    ref = run(EventQueue())
+    identical = ref == run(ColumnarEventQueue())
     detail = (
         f"{len(ref)} events fired in identical order"
         if identical
         else "event firing order diverged between queue kernels"
-    )
-    return {"identical": identical, "detail": detail}
-
-
-def _wormhole_check(n_procs: int) -> Dict[str, object]:
-    """Scalar vs batched link reservation over a deterministic burst."""
-    from ..events.sim import Simulator
-    from ..netsim.message import Message
-    from ..netsim.topology import MeshTopology
-    from ..netsim.wormhole import WormholeNetwork
-
-    n_messages = 200
-
-    def run() -> Tuple[Tuple[int, float, int], ...]:
-        sim = Simulator()
-        deliveries: List[object] = []
-        net = WormholeNetwork(sim, MeshTopology(n_procs), deliveries.append)
-        state = 0x9E3779B97F4A7C15
-        for i in range(n_messages):
-            state = (state * 6364136223846793005 + 1) & (2**64 - 1)
-            src = (state >> 40) % n_procs
-            dst = (state >> 20) % n_procs
-            net.send(Message(src, dst, 8 + (state >> 4) % 56, payload=i))
-        sim.run()
-        return tuple(
-            (d.message.payload, float(d.arrive_time), d.hops) for d in deliveries
-        )
-
-    with use_kernels("reference"):
-        ref = run()
-    with use_kernels("vectorized"):
-        vec = run()
-    identical = ref == vec
-    detail = (
-        f"{n_messages} messages on a {n_procs}-node mesh"
-        if identical
-        else "delivery times or hop counts diverged"
     )
     return {"identical": identical, "detail": detail}
 
@@ -219,5 +186,4 @@ def run_kernel_equivalence(
         "twobend": _twobend_check(circuit, iterations),
         "wavefront": _wavefront_check(circuit, iterations),
         "event_queue": _event_queue_check(circuit),
-        "wormhole": _wormhole_check(max(n_procs, 9)),
     }

@@ -9,10 +9,9 @@ blocking receiver-initiated schedule (request/response plus the WAITING
 node state).  Every invariant checker in :mod:`repro.verify.invariants`
 fires on at least one of these runs.
 
-Finally the scalar-vs-vectorized kernel equivalence checks
-(:mod:`repro.verify.kernels`) replay the coherence, two-bend routing and
-wormhole reservation kernels in both modes and fail the verdict on any
-divergence.
+Finally the kernel equivalence checks (:mod:`repro.verify.kernels`) run
+the coherence, two-bend routing, wave-front and event-queue engines
+against their scalar oracles and fail the verdict on any divergence.
 """
 
 from __future__ import annotations

@@ -273,7 +273,7 @@ class TestProfileCommand:
     def test_profile_defaults(self, capsys):
         assert main(["profile", "--quick"]) == 0
         out = capsys.readouterr().out
-        assert "kernels: vectorized" in out
+        assert "quick: True" in out
         assert "T3" in out and "share" in out
         assert "hot-path counters:" in out
 
@@ -282,7 +282,7 @@ class TestProfileCommand:
 
         assert main(["profile", "T6", "--quick", "--json"]) == 0
         payload = json_mod.loads(capsys.readouterr().out)
-        assert payload["kernels"] == "vectorized"
+        assert payload["quick"] is True
         assert payload["passed"] == {"T6": True}
         assert payload["timing"]["phases"][0]["name"] == "T6"
 
@@ -291,20 +291,6 @@ class TestProfileCommand:
         out = capsys.readouterr().out
         assert "--- cProfile T6" in out
         assert "function calls" in out
-
-    def test_kernels_flag_selects_reference_mode(self, capsys):
-        from repro.kernels import active_kernels, set_kernels
-
-        try:
-            assert main(["--kernels", "reference", "profile", "T6", "--quick"]) == 0
-            assert "kernels: reference" in capsys.readouterr().out
-            assert active_kernels() == "reference"
-        finally:
-            set_kernels("vectorized")
-
-    def test_kernels_flag_rejects_unknown(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["--kernels", "turbo", "profile"])
 
     def test_unknown_experiment_clean_error(self, capsys):
         assert main(["profile", "T99", "--quick"]) == 2

@@ -18,7 +18,6 @@ from repro.errors import SimulationError
 from repro.events.columnar import ColumnarEventQueue
 from repro.events.queue import EventQueue
 from repro.events.sim import Simulator
-from repro.kernels import use_kernels
 
 
 def drain(queue):
@@ -171,15 +170,10 @@ class TestDifferentialEquivalence:
 
 
 class TestSimulatorDispatch:
-    def test_mode_selects_queue_class(self):
-        with use_kernels("vectorized"):
-            assert isinstance(Simulator()._queue, ColumnarEventQueue)
-        with use_kernels("reference"):
-            assert isinstance(Simulator()._queue, EventQueue)
-
     def test_same_trace_under_both_queues(self):
-        def run() -> list:
+        def run(queue) -> list:
             sim = Simulator()
+            sim._queue = queue
             fired = []
 
             def spawn(depth: int):
@@ -194,20 +188,16 @@ class TestSimulatorDispatch:
             sim.run()
             return fired
 
-        with use_kernels("reference"):
-            ref = run()
-        with use_kernels("vectorized"):
-            vec = run()
-        assert ref == vec
+        ref = run(EventQueue())
+        assert ref == run(ColumnarEventQueue())
         assert "never" not in ref
 
     def test_bounded_run_stops_at_until(self):
-        with use_kernels("vectorized"):
-            sim = Simulator()
-            fired = []
-            sim.at(1.0, lambda: fired.append(1.0))
-            sim.at(3.0, lambda: fired.append(3.0))
-            assert sim.run(until=2.0) == 2.0
-            assert fired == [1.0]
-            assert sim.run() == 3.0
-            assert fired == [1.0, 3.0]
+        sim = Simulator()
+        fired = []
+        sim.at(1.0, lambda: fired.append(1.0))
+        sim.at(3.0, lambda: fired.append(3.0))
+        assert sim.run(until=2.0) == 2.0
+        assert fired == [1.0]
+        assert sim.run() == 3.0
+        assert fired == [1.0, 3.0]

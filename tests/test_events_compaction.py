@@ -1,4 +1,4 @@
-"""Tests for lazy-cancellation compaction in the event queue.
+"""Tests for lazy-cancellation compaction in the columnar event queue.
 
 Compaction is purely an internal storage optimisation; the observable
 contract is that pop order and results are unchanged (events are totally
@@ -11,34 +11,47 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.events.queue import EventQueue
+from repro.events.columnar import ColumnarEventQueue
 
 
-class LazyOnlyQueue(EventQueue):
+class LazyOnlyQueue(ColumnarEventQueue):
     """Pre-compaction behaviour for differential comparison."""
 
     COMPACT_MIN = 1 << 60
 
 
+def push(queue, time):
+    """Schedule an event whose action returns its own identity."""
+    ident = []
+    handle = queue.push(time, lambda: ident[0])
+    ident.append(handle[1])
+    return handle
+
+
+def pop(queue):
+    nxt = queue.pop_next()
+    return None if nxt is None else (nxt[0], nxt[1]())
+
+
 def drain_times(queue):
     times = []
     while True:
-        event = queue.pop()
+        event = pop(queue)
         if event is None:
             return times
-        times.append((event.time, event.seq))
+        times.append(event)
 
 
 class TestCompactionTrigger:
     def test_small_heaps_never_compact(self):
-        q = EventQueue()
-        events = [q.push(float(i), lambda: None) for i in range(EventQueue.COMPACT_MIN - 1)]
+        q = ColumnarEventQueue()
+        events = [q.push(float(i), lambda: None) for i in range(ColumnarEventQueue.COMPACT_MIN - 1)]
         for event in events:
             q.cancel(event)
         assert q.n_compactions == 0
 
     def test_majority_dead_triggers_compaction(self):
-        q = EventQueue()
+        q = ColumnarEventQueue()
         doomed = [q.push(float(i), lambda: None) for i in range(100)]
         q.push(1000.0, lambda: None)
         for event in doomed:
@@ -50,19 +63,19 @@ class TestCompactionTrigger:
         assert len(q) == 1
 
     def test_len_tracks_live_events_through_compaction(self):
-        q = EventQueue()
+        q = ColumnarEventQueue()
         events = [q.push(float(i), lambda: None) for i in range(200)]
         for event in events[::2]:
             q.cancel(event)
         assert len(q) == 100
 
     def test_cancel_after_fire_is_noop(self):
-        q = EventQueue()
+        q = ColumnarEventQueue()
         event = q.push(1.0, lambda: None)
-        assert q.pop() is event
+        assert q.pop_next()[0] == 1.0
         q.cancel(event)
         q.cancel(event)
-        assert q._n_cancelled_in_heap == 0
+        assert not q._cancelled
 
     def test_peek_compacts_dead_prefix(self):
         # Regression: peek_time used to drain cancelled heads one heappop
@@ -70,7 +83,7 @@ class TestCompactionTrigger:
         # up a dead prefix too small for cancel() to compact (dead entries
         # are not the majority) but well past COMPACT_MIN, then assert a
         # single peek sheds all of them through _compact().
-        q = EventQueue()
+        q = ColumnarEventQueue()
         doomed = [q.push(float(i), lambda: None) for i in range(100)]
         survivors = [q.push(1000.0 + i, lambda: None) for i in range(300)]
         for event in doomed:
@@ -78,26 +91,26 @@ class TestCompactionTrigger:
         assert q.n_compactions == 0  # cancel: 100 dead of 400 is no majority
         assert q.peek_time() == 1000.0
         assert q.n_compactions == 1
-        assert q._n_cancelled_in_heap == 0
+        assert not q._cancelled
         assert len(q._heap) == len(survivors)
 
     def test_peek_drains_small_dead_prefix_without_compacting(self):
-        q = EventQueue()
-        doomed = [q.push(float(i), lambda: None) for i in range(EventQueue.COMPACT_MIN - 1)]
+        q = ColumnarEventQueue()
+        doomed = [q.push(float(i), lambda: None) for i in range(ColumnarEventQueue.COMPACT_MIN - 1)]
         q.push(500.0, lambda: None)
         for event in doomed:
             q.cancel(event)
         assert q.peek_time() == 500.0
         assert q.n_compactions == 0
-        assert q._n_cancelled_in_heap == 0
+        assert not q._cancelled
 
     def test_compaction_preserves_pending_pop_order(self):
-        q, lazy = EventQueue(), LazyOnlyQueue()
+        q, lazy = ColumnarEventQueue(), LazyOnlyQueue()
         handles_q, handles_l = [], []
         for i in range(300):
             t = float((i * 37) % 50)
-            handles_q.append(q.push(t, lambda: None))
-            handles_l.append(lazy.push(t, lambda: None))
+            handles_q.append(push(q, t))
+            handles_l.append(push(lazy, t))
         for hq, hl in zip(handles_q[:220], handles_l[:220]):
             q.cancel(hq)
             lazy.cancel(hl)
@@ -118,10 +131,10 @@ class TestCompactionEquivalence:
         )
     )
     def test_pop_sequence_identical_with_and_without_compaction(self, ops):
-        q, lazy = EventQueue(), LazyOnlyQueue()
+        q, lazy = ColumnarEventQueue(), LazyOnlyQueue()
         for time, doomed in ops:
-            eq = q.push(time, lambda: None)
-            el = lazy.push(time, lambda: None)
+            eq = push(q, time)
+            el = push(lazy, time)
             if doomed:
                 q.cancel(eq)
                 lazy.cancel(el)
@@ -130,22 +143,21 @@ class TestCompactionEquivalence:
     @settings(max_examples=50, deadline=None)
     @given(st.integers(min_value=0, max_value=400))
     def test_interleaved_pops_and_cancels(self, n):
-        q, lazy = EventQueue(), LazyOnlyQueue()
+        q, lazy = ColumnarEventQueue(), LazyOnlyQueue()
         state = 12345
         live_q, live_l = [], []
         popped_q, popped_l = [], []
         for i in range(n):
             state = (state * 1103515245 + 12345) & (2**31 - 1)
             t = q._last_popped + (state % 1000) / 10.0
-            live_q.append(q.push(t, lambda: None))
-            live_l.append(lazy.push(t, lambda: None))
+            live_q.append(push(q, t))
+            live_l.append(push(lazy, t))
             if state % 3 == 0 and live_q:
                 k = state % len(live_q)
                 q.cancel(live_q.pop(k))
                 lazy.cancel(live_l.pop(k))
             if state % 7 == 0:
-                eq, el = q.pop(), lazy.pop()
-                popped_q.append(None if eq is None else (eq.time, eq.seq))
-                popped_l.append(None if el is None else (el.time, el.seq))
+                popped_q.append(pop(q))
+                popped_l.append(pop(lazy))
         assert popped_q == popped_l
         assert drain_times(q) == drain_times(lazy)

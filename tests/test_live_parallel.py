@@ -21,6 +21,7 @@ runs under ``REPRO_MP_START_METHOD=spawn`` in CI.
 from __future__ import annotations
 
 import multiprocessing
+import threading
 
 import numpy as np
 import pytest
@@ -176,6 +177,46 @@ class TestLiveMessagePassing:
                 n_procs=2,
                 iterations=1,
             )
+
+    def test_parked_node_survives_a_peer_that_already_left(self, circuit, tmp_path):
+        # A node that answered ``stop`` first closes its pipe ends; a node
+        # still parked at the barrier reads EOF from that peer and must
+        # treat it as "the peer left", not die before its own ``stop``.
+        from repro.parallel.live.mp_live import (
+            DEFAULT_LIVE_POLICY,
+            _mp_node,
+            _NodeConfig,
+        )
+
+        control, node_control = multiprocessing.Pipe()
+        node_end, peer_end = multiprocessing.Pipe()
+        cfg = _NodeConfig(
+            circuit=circuit,
+            node=0,
+            n_procs=2,
+            wires=(),
+            schedule=UpdateSchedule.sender_initiated(1, 1),
+            policy=DEFAULT_LIVE_POLICY,
+            log_path=str(tmp_path / "node0.log"),
+        )
+        errors = []
+
+        def body():
+            try:
+                _mp_node(cfg, node_control, {1: node_end})
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        node = threading.Thread(target=body, daemon=True)
+        node.start()
+        assert control.poll(10) and control.recv()[0] == "ready"
+        peer_end.close()
+        node.join(timeout=0.5)  # a node that cannot cope dies on its next wait
+        assert node.is_alive() and not errors, errors
+        control.send(("stop",))
+        assert control.poll(10) and control.recv()[0] == "bye"
+        node.join(timeout=10)
+        assert not node.is_alive() and not errors, errors
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,8 @@ reproduce the sequential result exactly.
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,8 +20,8 @@ from hypothesis import strategies as st
 
 from repro.circuits import Circuit, Pin, Wire
 from repro.grid import CostArray
-from repro.kernels import use_kernels
-from repro.route import SequentialRouter
+from repro.route import SequentialRouter, engine
+from repro.route.engine import route_iteration_reference
 from repro.route.twobend import route_wire_reference
 from repro.route.wavefront import (
     plan_wave,
@@ -31,6 +33,14 @@ from repro.route.wavefront import (
 
 N_CHANNELS = 8
 N_GRIDS = 24
+
+
+def reference_run(circuit, iterations, **kwargs):
+    """SequentialRouter.run with the scalar per-wire loop in place of waves."""
+    with mock.patch.object(
+        engine, "route_iteration_wavefront", route_iteration_reference
+    ):
+        return SequentialRouter(circuit, iterations=iterations).run(**kwargs)
 
 
 def assert_same_route(ref, vec):
@@ -288,10 +298,8 @@ class TestIterationEquivalence:
         }
         wave, _ = plan_wave(list(range(circuit.n_wires)), footprints)
         assert len(wave) == 1
-        with use_kernels("reference"):
-            ref = SequentialRouter(circuit, iterations=3).run()
-        with use_kernels("vectorized"):
-            vec = SequentialRouter(circuit, iterations=3).run()
+        ref = reference_run(circuit, 3)
+        vec = SequentialRouter(circuit, iterations=3).run()
         assert ref.cost == vec.cost
         assert ref.work_cells == vec.work_cells
 
@@ -300,10 +308,8 @@ class TestEngineDispatch:
     @settings(max_examples=40, deadline=None)
     @given(circuits(min_wires=1, max_wires=8))
     def test_sequential_router_bit_identical_across_modes(self, circuit):
-        with use_kernels("reference"):
-            ref = SequentialRouter(circuit, iterations=3).run()
-        with use_kernels("vectorized"):
-            vec = SequentialRouter(circuit, iterations=3).run()
+        ref = reference_run(circuit, 3)
+        vec = SequentialRouter(circuit, iterations=3).run()
         assert ref.quality == vec.quality
         assert ref.work_cells == vec.work_cells
         assert ref.per_iteration_height == vec.per_iteration_height
@@ -311,6 +317,14 @@ class TestEngineDispatch:
         assert set(ref.paths) == set(vec.paths)
         for i, path in ref.paths.items():
             assert np.array_equal(path.flat_cells, vec.paths[i].flat_cells)
+
+    def test_empty_order_routes_nothing(self):
+        circuit = Circuit("empty", N_CHANNELS, N_GRIDS, [])
+        for iterate in (route_iteration_reference, route_iteration_wavefront):
+            cost = CostArray(N_CHANNELS, N_GRIDS)
+            assert iterate(cost, circuit, [], {}, 0) == (0, 0)
+        result = SequentialRouter(circuit, iterations=2).run()
+        assert result.quality.occupancy_factor == 0 and result.paths == {}
 
     def test_custom_wire_order_respected(self):
         wire_list = [
@@ -320,10 +334,8 @@ class TestEngineDispatch:
         ]
         circuit = Circuit("ordered", N_CHANNELS, N_GRIDS, wire_list)
         order = [2, 0, 1]
-        with use_kernels("reference"):
-            ref = SequentialRouter(circuit, iterations=2).run(wire_order=order)
-        with use_kernels("vectorized"):
-            vec = SequentialRouter(circuit, iterations=2).run(wire_order=order)
+        ref = reference_run(circuit, 2, wire_order=order)
+        vec = SequentialRouter(circuit, iterations=2).run(wire_order=order)
         assert ref.cost == vec.cost
         for i in ref.paths:
             assert np.array_equal(

@@ -9,6 +9,7 @@ three persisted job rows — is ``test_dedup_three_submissions_two_executions``.
 
 from __future__ import annotations
 
+import http.client
 import json
 import threading
 
@@ -27,6 +28,7 @@ from repro.service import (
     job_key,
     serve,
 )
+from repro.service.daemon import MAX_BODY_BYTES, _Handler
 from repro.service.jobs import route_payload
 from repro.updates import UpdateSchedule
 from repro.viz import ascii_job_timeline
@@ -156,6 +158,12 @@ class TestDedup:
         with pytest.raises(ServiceError, match="unknown parameter"):
             service.submit("route", {"wires": 24})
 
+    @pytest.mark.parametrize("kind", ["route", "mp", "sm"])
+    def test_non_integer_param_rejected(self, service, kind):
+        params = tiny_mp_params() if kind == "mp" else quick_route_params()
+        with pytest.raises(ServiceError, match="'iterations' must be an integer"):
+            service.submit(kind, {**params, "iterations": "x"})
+
     def test_runtime_failure_becomes_failed_row(self, service):
         # iterations=0 passes submission validation but the router
         # rejects it at execution time.
@@ -194,6 +202,19 @@ def server(tmp_path):
     srv.server_close()
 
 
+def raw_post(server, body: bytes, content_length: str):
+    """POST /jobs with a hand-written Content-Length; (status, reply)."""
+    conn = http.client.HTTPConnection(*server.server_address, timeout=5)
+    try:
+        conn.putrequest("POST", "/jobs")
+        conn.putheader("Content-Length", content_length)
+        conn.endheaders(body)
+        reply = conn.getresponse()
+        return reply.status, json.loads(reply.read())
+    finally:
+        conn.close()
+
+
 @pytest.fixture
 def client(server):
     return ServiceClient(f"http://127.0.0.1:{server.server_address[1]}")
@@ -230,6 +251,32 @@ class TestHTTP:
     def test_bad_kind_is_a_400(self, client):
         with pytest.raises(ServiceError, match="unknown job kind"):
             client.submit("teleport", {})
+
+    def test_non_integer_param_is_a_400(self, client):
+        with pytest.raises(ServiceError, match="must be an integer"):
+            client.submit("mp", {**tiny_mp_params(), "iterations": "x"})
+
+    def test_unparsable_content_length_is_a_400(self, server):
+        assert raw_post(server, b"{}", "abc")[0] == 400
+
+    def test_negative_content_length_is_a_400(self, server):
+        # rfile.read(-1) would block until the client hung up.
+        assert raw_post(server, b"{}", "-1")[0] == 400
+
+    def test_oversized_body_is_a_413(self, server):
+        # Refused from the header alone, before reading the body.
+        assert raw_post(server, b"{}", str(MAX_BODY_BYTES + 1))[0] == 413
+
+    def test_handler_times_out_stalled_clients(self):
+        assert 0 < _Handler.timeout <= 60
+
+    def test_bad_list_limit_is_a_400(self, server):
+        conn = http.client.HTTPConnection(*server.server_address, timeout=5)
+        try:
+            conn.request("GET", "/jobs?limit=many")
+            assert conn.getresponse().status == 400
+        finally:
+            conn.close()
 
     def test_unknown_job_is_a_404(self, client):
         with pytest.raises(ServiceError, match="unknown job"):

@@ -1,9 +1,9 @@
-"""Harness smoke bench — parallel fan-out and result caching (quick mode).
+"""Harness smoke bench — parallel fan-out and the result store (quick mode).
 
 Unlike the per-experiment benches this one exercises the *harness
 machinery* end to end at quick scale: a serial baseline, a ``jobs > 1``
-fan-out over experiment ids, and a warm second pass over a shared cache.
-Correctness (row identity, cache hits, a well-formed
+fan-out over experiment ids, and a warm second pass over a shared
+SQLite result store.  Correctness (row identity, store hits, a well-formed
 ``BENCH_harness.json``) is asserted; timing is *reported* only — the
 speedup depends on how many cores the host actually has, so a hard
 assertion would be flaky on small CI machines.
@@ -43,26 +43,24 @@ def test_parallel_rows_match_serial(benchmark, capsys):
 
 
 def test_warm_cache_serves_identical_results(benchmark, capsys, tmp_path):
-    """A warm cache pass must hit every experiment and change nothing."""
-    cache_dir = tmp_path / "cache"
-    cold = _quiet_run(cache_dir=cache_dir)
+    """A warm store pass must hit every experiment and change nothing."""
+    db = tmp_path / "store.sqlite"
+    cold = _quiet_run(db=db)
     before = obs.snapshot()["counters"].get("cache.experiment.hits", 0)
-    warm = benchmark.pedantic(
-        lambda: _quiet_run(cache_dir=cache_dir), rounds=1, iterations=1
-    )
+    warm = benchmark.pedantic(lambda: _quiet_run(db=db), rounds=1, iterations=1)
     hits = obs.snapshot()["counters"].get("cache.experiment.hits", 0) - before
-    assert hits == len(SMOKE_IDS), "warm pass missed the cache"
+    assert hits == len(SMOKE_IDS), "warm pass missed the store"
     for a, b in zip(cold, warm):
         assert a.rows == b.rows
         assert a.checks == b.checks
     with capsys.disabled():
-        print(f"\n  warm cache ok: {hits}/{len(SMOKE_IDS)} experiment hits")
+        print(f"\n  warm store ok: {hits}/{len(SMOKE_IDS)} experiment hits")
 
 
 def test_bench_record_well_formed(benchmark, capsys, tmp_path):
     """The harness telemetry record carries totals worth reporting."""
     result = benchmark.pedantic(
-        lambda: _quiet_run(out_dir=tmp_path, cache_dir=tmp_path / "cache"),
+        lambda: _quiet_run(out_dir=tmp_path, db=tmp_path / "store.sqlite"),
         rounds=1,
         iterations=1,
     )

@@ -71,7 +71,7 @@ from .circuits import (
 )
 from .errors import ReproError
 from .harness.pool import default_jobs
-from .harness.runner import BENCH_FILENAME, run_all
+from .harness.runner import BENCH_FILENAME, DEFAULT_DB, run_all
 from .parallel import (
     run_dynamic_assignment,
     run_live_message_passing,
@@ -316,15 +316,14 @@ def build_parser() -> argparse.ArgumentParser:
         "experiment, a single id fans out its sweep rows",
     )
     p_exp.add_argument(
-        "--cache-dir",
-        default=".locusroute_cache",
-        help="content-addressed result cache directory "
-        "(default: %(default)s)",
+        "--db",
+        default=DEFAULT_DB,
+        help="SQLite result store, shared with 'serve' (default: %(default)s)",
     )
     p_exp.add_argument(
         "--no-cache",
         action="store_true",
-        help="bypass the result cache (neither read nor write it)",
+        help="bypass the result store (neither read nor write it)",
     )
     p_exp.add_argument(
         "--timeout",
@@ -388,24 +387,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--port", type=int, default=8642)
     p_serve.add_argument(
         "--db",
-        default=".locusroute_service.sqlite",
-        help="SQLite repository file (default: %(default)s)",
+        default=DEFAULT_DB,
+        help="SQLite result store, shared with 'experiment' "
+        "(default: %(default)s)",
     )
     p_serve.add_argument(
         "--jobs",
         type=int,
         default=1,
         help="salvage-pool width for job execution (0 = one per CPU)",
-    )
-    p_serve.add_argument(
-        "--cache-dir",
-        default=".locusroute_cache",
-        help="file cache kept as a read-through layer (default: %(default)s)",
-    )
-    p_serve.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="run without the file-cache read-through layer",
     )
     p_serve.add_argument(
         "--timeout",
@@ -755,8 +745,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         quick=args.quick,
         out_dir=args.out,
         jobs=jobs,
-        cache_dir=args.cache_dir,
-        use_cache=not args.no_cache,
+        db=None if args.no_cache else args.db,
         timeout_s=args.timeout,
         bench_path=args.bench,
     )
@@ -838,15 +827,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         host=args.host,
         port=args.port,
         db=args.db,
-        cache_dir=None if args.no_cache else args.cache_dir,
         jobs=default_jobs() if args.jobs == 0 else args.jobs,
         timeout_s=args.timeout,
     )
     host, port = server.server_address[:2]
     print(f"routing service listening on http://{host}:{port}")
     print(f"repository: {server.service.repository.path}")
-    cache = server.service.cache
-    print(f"read-through file cache: {cache.directory if cache else 'disabled'}")
     try:
         server.serve_forever()
     except KeyboardInterrupt:

@@ -930,7 +930,7 @@ def run_f2_crash_recovery(quick: bool = False) -> ExperimentResult:
     recovery latency, graceful quality degradation, invariant health, and
     bitwise determinism of a crashed run.
     """
-    from .cache import jsonify, stable_hash
+    from .fingerprint import jsonify, stable_hash
 
     schedule = UpdateSchedule.receiver_initiated(1, 5, blocking=True)
 

@@ -8,13 +8,13 @@
   ordering, a per-task timeout, and retry-once).  Workers execute the
   same cached path as the serial runner
   (:func:`repro.harness.runner.run_one_cached`), so parallel and serial
-  runs produce row-identical results and share one cache.
+  runs produce row-identical results and share one store.
 - **One id** → fanning out a single task would buy nothing, so the
   experiment runs in-process with its *per-row simulation configs*
   fanned out instead (:mod:`repro.harness.simjobs`); sweep tables like
   T1 (12 independent rows) parallelise this way.
 
-Worker telemetry (events processed, cache hits, span timers) comes back
+Worker telemetry (events processed, store hits, span timers) comes back
 with each task and is merged into the parent's global telemetry, so
 ``BENCH_harness.json`` sees the whole picture regardless of where the
 work ran.  Workers never nest pools: a pool worker runs its experiment's
@@ -25,14 +25,16 @@ from __future__ import annotations
 
 import os
 from functools import partial
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from ..obs import telemetry as obs
 from . import simjobs
-from .cache import ResultCache
 from .experiments import ExperimentResult
 from .pool import pool_map
 from .runner import run_one_cached
+
+if TYPE_CHECKING:  # a runtime import would close a service -> harness cycle
+    from ..service.repository import Repository
 
 __all__ = ["run_parallel"]
 
@@ -42,7 +44,7 @@ _WorkerOut = Tuple[ExperimentResult, Dict[str, object], Dict[str, object]]
 def _run_experiment_task(
     exp_id: str,
     quick: bool,
-    cache_dir: Optional[str],
+    db: Optional[str],
     parent_pid: int,
 ) -> _WorkerOut:
     """Pool-worker body: one experiment id, returning its telemetry.
@@ -55,16 +57,26 @@ def _run_experiment_task(
     lands in the parent's live global, so an empty snapshot is returned
     instead of a double-counting copy.
 
-    Each worker opens its own handle on the shared cache directory —
-    entries are content-addressed and written atomically, so concurrent
-    writers are safe (last writer wins with identical bytes).
+    Each task opens its own :class:`~repro.service.repository.Repository`
+    on the shared file (a SQLite connection must never cross a fork);
+    rows are content-addressed and written with ``INSERT OR REPLACE``,
+    so concurrent writers are safe (last writer wins with identical rows).
     """
     in_worker = os.getpid() != parent_pid
     if in_worker:
         obs.reset()
-    cache = ResultCache(cache_dir) if cache_dir is not None else None
-    simjobs.configure(reset=True, cache=cache)
-    result, record = run_one_cached(exp_id, quick, cache)
+    store = None
+    if db is not None:
+        from ..service.repository import Repository
+
+        store = Repository(db)
+    simjobs.configure(reset=True, store=store)
+    try:
+        result, record = run_one_cached(exp_id, quick, store)
+    finally:
+        simjobs.configure(reset=True)
+        if store is not None:
+            store.close()
     return result, record, obs.snapshot() if in_worker else {}
 
 
@@ -72,22 +84,22 @@ def run_parallel(
     exp_ids: List[str],
     quick: bool = False,
     jobs: int = 2,
-    cache: Optional[ResultCache] = None,
+    store: Optional["Repository"] = None,
     timeout_s: Optional[float] = None,
 ) -> Tuple[List[ExperimentResult], List[Dict[str, object]]]:
     """Run *exp_ids* with ``jobs`` workers; results in id order.
 
     Returns ``(results, records)`` — the experiment results plus the
-    per-experiment bench records (wall time, events/sec, cache hits)
+    per-experiment bench records (wall time, events/sec, store hits)
     that :func:`repro.harness.runner.write_bench_record` consumes.
     """
     if len(exp_ids) <= 1:
         # One experiment: parallelise its sim rows instead of the id.
         simjobs.configure(
-            reset=True, jobs=jobs, cache=cache, timeout_s=timeout_s
+            reset=True, jobs=jobs, store=store, timeout_s=timeout_s
         )
         try:
-            pairs = [run_one_cached(exp_id, quick, cache) for exp_id in exp_ids]
+            pairs = [run_one_cached(exp_id, quick, store) for exp_id in exp_ids]
         finally:
             simjobs.configure(reset=True)
         results = [result for result, _ in pairs]
@@ -97,7 +109,7 @@ def run_parallel(
     worker = partial(
         _run_experiment_task,
         quick=quick,
-        cache_dir=str(cache.directory) if cache is not None else None,
+        db=store.path if store is not None else None,
         parent_pid=os.getpid(),
     )
     outs: List[_WorkerOut] = pool_map(

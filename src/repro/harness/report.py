@@ -10,9 +10,9 @@ is produced this way; regenerate it after any engine change with::
 
 The routing service's SQLite repository (docs/SERVICE.md) is a second
 source: ``python -m repro.harness.report --service svc.sqlite [out]``
-renders the cumulative run history and every experiment table persisted
-by the daemon — the queryable alternative to a directory of one-shot
-JSON files.
+renders the cumulative run history and every experiment table stored
+there, by the daemon or by ``locusroute experiment --db`` — the
+queryable alternative to a directory of one-shot JSON files.
 """
 
 from __future__ import annotations
@@ -281,10 +281,11 @@ def _stamp(unix: Optional[float]) -> str:
 def render_service_report(db_path: Path, limit: int = 50) -> str:
     """Render run history + persisted tables from a service repository.
 
-    The SQLite repository written by ``locusroute serve`` (see
-    docs/SERVICE.md) holds every submission and every executed result;
+    The SQLite repository written by ``locusroute serve`` and
+    ``locusroute experiment`` (see docs/SERVICE.md) holds every
+    submission and every stored result;
     this renders the markdown view of it: status counts, the recent
-    submission log (with dedup/cache provenance), the stored-result
+    submission log (with dedup/repository provenance), the stored-result
     summary, and — for persisted ``experiment`` results — the full
     paper-vs-measured table and shape checks, exactly as
     :func:`render_markdown` would show them from a results directory.

@@ -12,11 +12,13 @@ Three orthogonal capabilities wrap the plain drivers:
   instead fans out its per-row simulation configs
   (:mod:`repro.harness.simjobs`).  Results are returned in id order and
   are row-identical to a serial run.
-- **Result caching** (``cache_dir``): experiments and individual
-  simulation rows are content-addressed
-  (:mod:`repro.harness.cache`) so warm re-runs and overlapping sweeps
-  skip already-computed work.  Pass ``use_cache=False`` (CLI
-  ``--no-cache``) to bypass reads *and* writes.
+- **Result store** (``db``): experiments and individual simulation rows
+  are content-addressed (:mod:`repro.harness.fingerprint`) and kept in
+  the SQLite :class:`~repro.service.repository.Repository`, so warm
+  re-runs and overlapping sweeps skip already-computed work, and a
+  routing service daemon on the same file answers the same experiments
+  without executing.  ``db=None`` (CLI ``--no-cache``) neither reads
+  nor writes a store.
 - **Telemetry**: per-experiment wall/CPU time, events processed and
   events/second land in a ``BENCH_harness.json`` record next to the
   results (or at an explicit ``bench_path``).
@@ -25,39 +27,97 @@ Three orthogonal capabilities wrap the plain drivers:
 from __future__ import annotations
 
 import json
+import os
+import tempfile
 import time
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple, Union
 
 from .. import __version__
 from ..errors import ExperimentError
 from ..obs import telemetry as obs
 from . import simjobs
-from .cache import (
-    ResultCache,
-    atomic_write_text,
+from .experiments import EXPERIMENTS, ExperimentResult, quick_circuit, run_experiment
+from .fingerprint import (
     circuit_fingerprint,
     code_fingerprint,
     cost_model_fingerprint,
     jsonify,
     stable_hash,
 )
-from .experiments import EXPERIMENTS, ExperimentResult, quick_circuit, run_experiment
+
+if TYPE_CHECKING:  # a runtime import would close a service -> harness cycle
+    from ..service.repository import Repository
 
 __all__ = [
     "run_all",
     "save_result",
     "load_result",
     "resolve_ids",
+    "experiment_fingerprint",
     "experiment_cache_key",
     "write_bench_record",
+    "atomic_write_text",
     "BENCH_FILENAME",
+    "DEFAULT_DB",
 ]
 
 PathLike = Union[str, Path]
 
 #: Default file name of the harness telemetry record.
 BENCH_FILENAME = "BENCH_harness.json"
+
+#: Default SQLite result store of ``locusroute experiment`` and
+#: ``locusroute serve``: one file, so the two share results.
+DEFAULT_DB = ".locusroute_service.sqlite"
+
+
+def _fsync_dir(directory: Path) -> None:
+    """fsync a directory so a just-renamed file survives power loss.
+
+    Best-effort: platforms/filesystems that cannot open or fsync a
+    directory (e.g. Windows) keep the rename's atomicity and lose only
+    the durability guarantee.
+    """
+    try:
+        fd = os.open(directory, os.O_RDONLY)
+    except OSError:
+        return
+    try:
+        os.fsync(fd)
+    except OSError:
+        pass
+    finally:
+        os.close(fd)
+
+
+def atomic_write_text(path: PathLike, text: str) -> Path:
+    """Write *text* (UTF-8) to *path* atomically and durably.
+
+    tmp file + fsync + rename + directory fsync: the rename makes the
+    write atomic for concurrent readers, the file fsync makes the *data*
+    durable before the name points at it, and the directory fsync makes
+    the *name* durable.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(
+        dir=str(path.parent), prefix=f".{path.name}.", suffix=".tmp"
+    )
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(text.encode("utf-8"))
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp, path)
+        _fsync_dir(path.parent)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
+    return path
 
 
 def save_result(result: ExperimentResult, directory: PathLike) -> Path:
@@ -103,36 +163,45 @@ def resolve_ids(exp_ids: Optional[Iterable[str]]) -> List[str]:
 
 
 # ----------------------------------------------------------------------
-# experiment-level cache plumbing
+# experiment-level store plumbing
 # ----------------------------------------------------------------------
-def experiment_cache_key(exp_id: str, quick: bool) -> str:
-    """Content-addressed key of one experiment run.
+def experiment_fingerprint(exp_id: str, quick: bool) -> Dict[str, object]:
+    """Everything that determines one experiment run, as a plain dict.
 
-    Covers everything that determines the output: the experiment id and
-    scale, both benchmark circuits' netlists at that scale, the
-    cost-model fields, and a digest of the package source (the schedule
-    fields baked into each driver are code, hence covered by the code
-    digest; rows additionally hit the finer-grained sim cache keyed on
-    their exact schedule/processor fields).
+    The experiment id and scale, both benchmark circuits' netlists at
+    that scale, the cost-model fields, and a digest of the package source
+    (the schedule fields baked into each driver are code, hence covered
+    by the code digest; rows additionally hit the finer-grained sim-row
+    store keyed on their exact schedule/processor fields).  The service's
+    ``experiment`` jobs use this fingerprint too, so the harness and the
+    daemon share stored experiments.
     """
-    return stable_hash(
-        {
-            "unit": "experiment",
-            "exp_id": exp_id.upper(),
-            "quick": quick,
-            "circuits": {
-                which: circuit_fingerprint(quick_circuit(which, quick))
-                for which in ("bnrE", "MDC")
-            },
-            "cost_model": cost_model_fingerprint(),
-            "code": code_fingerprint(),
-        }
-    )
+    return {
+        "unit": "experiment",
+        "exp_id": exp_id.upper(),
+        "quick": quick,
+        "circuits": {
+            which: circuit_fingerprint(quick_circuit(which, quick))
+            for which in ("bnrE", "MDC")
+        },
+        "cost_model": cost_model_fingerprint(),
+        "code": code_fingerprint(),
+    }
+
+
+def experiment_cache_key(exp_id: str, quick: bool) -> str:
+    """Content-addressed store key of one experiment run."""
+    return stable_hash(experiment_fingerprint(exp_id, quick))
 
 
 def result_to_payload(result: ExperimentResult) -> dict:
-    """JSON-safe payload of an :class:`ExperimentResult` for the cache."""
+    """JSON-safe stored payload of an :class:`ExperimentResult`.
+
+    The same payload whether the harness or a service ``experiment`` job
+    stored it.
+    """
     return {
+        "kind": "experiment",
         "exp_id": result.exp_id,
         "title": result.title,
         "columns": list(result.columns),
@@ -140,11 +209,12 @@ def result_to_payload(result: ExperimentResult) -> dict:
         "checks": jsonify(result.checks),
         "notes": result.notes,
         "extras": jsonify(result.extras),
+        "passed": result.passed,
     }
 
 
 def payload_to_result(payload: dict) -> ExperimentResult:
-    """Rebuild an :class:`ExperimentResult` from a cached payload.
+    """Rebuild an :class:`ExperimentResult` from a stored payload.
 
     ``extras`` come back in their JSON form (tuple dict keys became
     strings); rows, checks, and notes round-trip exactly.
@@ -161,14 +231,14 @@ def payload_to_result(payload: dict) -> ExperimentResult:
 
 
 def run_one_cached(
-    exp_id: str, quick: bool, cache: Optional[ResultCache]
+    exp_id: str, quick: bool, store: Optional["Repository"]
 ) -> Tuple[ExperimentResult, Dict[str, object]]:
-    """Run one experiment through the cache; returns (result, bench record).
+    """Run one experiment through the store; returns (result, bench record).
 
     The record carries the per-experiment telemetry that lands in
-    ``BENCH_harness.json``: wall/CPU seconds, whether the cache served
+    ``BENCH_harness.json``: wall/CPU seconds, whether the store served
     it, and how many simulator events were actually processed (0 for a
-    full cache hit).
+    full hit).
     """
     tel = obs.get_telemetry()
     events0 = tel.count("sim.events")
@@ -176,16 +246,24 @@ def run_one_cached(
     wall0, cpu0 = time.perf_counter(), time.process_time()
 
     result: Optional[ExperimentResult] = None
-    key = experiment_cache_key(exp_id, quick) if cache is not None else None
-    if cache is not None:
-        payload = cache.get_experiment(key)
-        if payload is not None:
-            result = payload_to_result(payload)
+    if store is not None:
+        key = experiment_cache_key(exp_id, quick)
+        stored = store.get_result(key)
+        if stored is not None:
+            result = payload_to_result(stored["payload"])
+        obs.incr(
+            "cache.experiment.hits" if stored is not None
+            else "cache.experiment.misses"
+        )
     cache_hit = result is not None
     if result is None:
         result = run_experiment(exp_id, quick=quick)
-        if cache is not None:
-            cache.put_experiment(key, result_to_payload(result))
+        if store is not None:
+            store.record_result(
+                key, "experiment", {"exp_id": exp_id.upper(), "quick": quick},
+                result_to_payload(result),
+                wall_s=time.perf_counter() - wall0,
+            )
 
     wall = time.perf_counter() - wall0
     cpu = time.process_time() - cpu0
@@ -268,8 +346,7 @@ def run_all(
     out_dir: Optional[PathLike] = None,
     echo: bool = True,
     jobs: int = 1,
-    cache_dir: Optional[PathLike] = None,
-    use_cache: bool = True,
+    db: Optional[PathLike] = None,
     timeout_s: Optional[float] = None,
     bench_path: Optional[PathLike] = None,
 ) -> List[ExperimentResult]:
@@ -284,12 +361,10 @@ def run_all(
         Process-pool width.  ``1`` (default) runs serially in-process;
         ``N > 1`` fans experiment ids out across ``N`` workers — or, for
         a single id, fans out its per-row simulation configs instead.
-    cache_dir:
-        Enable the content-addressed result cache rooted here.  ``None``
-        (default) disables caching entirely, preserving the historical
-        behaviour.
-    use_cache:
-        Set ``False`` to ignore ``cache_dir`` (the CLI's ``--no-cache``).
+    db:
+        SQLite result store file (:class:`repro.service.repository.Repository`)
+        that experiments and sim rows are read from and written to.
+        ``None`` (default) neither reads nor writes a store.
     timeout_s:
         Per-task timeout for pool execution (see
         :func:`repro.harness.pool.pool_map` for the exact semantics).
@@ -299,35 +374,41 @@ def run_all(
         given; with neither, no record is written.
     """
     ids = resolve_ids(exp_ids)
-    cache = (
-        ResultCache(cache_dir) if (cache_dir is not None and use_cache) else None
-    )
+    store = None
+    if db is not None:
+        from ..service.repository import Repository
+
+        store = Repository(db)
     telemetry_before = obs.snapshot()
     wall0 = time.perf_counter()
 
-    if jobs > 1:
-        from .parallel_runner import run_parallel
+    try:
+        if jobs > 1:
+            from .parallel_runner import run_parallel
 
-        results, records = run_parallel(
-            ids, quick=quick, jobs=jobs, cache=cache, timeout_s=timeout_s
-        )
-        if echo:
-            for result, record in zip(results, records):
-                print(result.render())
-                print(f"({record['wall_s']:.1f}s wall)\n")
-    else:
-        simjobs.configure(reset=True, cache=cache, timeout_s=timeout_s)
-        results, records = [], []
-        try:
-            for exp_id in ids:
-                result, record = run_one_cached(exp_id, quick, cache)
-                results.append(result)
-                records.append(record)
-                if echo:
+            results, records = run_parallel(
+                ids, quick=quick, jobs=jobs, store=store, timeout_s=timeout_s
+            )
+            if echo:
+                for result, record in zip(results, records):
                     print(result.render())
                     print(f"({record['wall_s']:.1f}s wall)\n")
-        finally:
-            simjobs.configure(reset=True)
+        else:
+            simjobs.configure(reset=True, store=store, timeout_s=timeout_s)
+            results, records = [], []
+            try:
+                for exp_id in ids:
+                    result, record = run_one_cached(exp_id, quick, store)
+                    results.append(result)
+                    records.append(record)
+                    if echo:
+                        print(result.render())
+                        print(f"({record['wall_s']:.1f}s wall)\n")
+            finally:
+                simjobs.configure(reset=True)
+    finally:
+        if store is not None:
+            store.close()
 
     wall = time.perf_counter() - wall0
     if out_dir is not None:

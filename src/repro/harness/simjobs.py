@@ -9,23 +9,27 @@ which unlocks, transparently to the drivers:
 
 - **fan-out**: rows execute across a process pool when the harness has
   configured inner jobs (:func:`configure`), serially otherwise;
-- **row caching**: each config is content-addressed (circuit netlist
+- **row storage**: each config is content-addressed (circuit netlist
   digest, schedule fields, processor/iteration counts, cost-model
-  fields, code digest), so overlapping sweeps and warm re-runs skip
-  rows that were already computed — e.g. the sender-initiated ``(2, 10)``
-  configuration appears in T1, T6, and X5 but simulates once.
+  fields, code digest) and kept in the repository's ``sim_rows`` table
+  (:meth:`repro.service.repository.Repository.get_sim` / ``put_sim``),
+  so overlapping sweeps and warm re-runs skip rows that were already
+  computed — e.g. the sender-initiated ``(2, 10)`` configuration
+  appears in T1, T6, and X5 but simulates once.
 
 Results come back in config order either way, so driver code is
 identical under every execution strategy.  Configuration is process
 local; worker processes of the *outer* experiment pool inherit the
-defaults (serial, cache from their own setup), so pools never nest.
+defaults (serial, store from their own setup), so pools never nest.
+Pool workers of the row fan-out never touch the store: the parent reads
+and writes every row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from ..circuits import Circuit, bnre_like, mdc_like
 from ..errors import ExperimentError
@@ -35,14 +39,16 @@ from ..parallel.results import ParallelRunResult
 from ..parallel.timing import DEFAULT_COST_MODEL
 from ..obs import telemetry as obs
 from ..updates import UpdateSchedule
-from .cache import (
-    ResultCache,
+from .fingerprint import (
     circuit_fingerprint,
     code_fingerprint,
     cost_model_fingerprint,
     stable_hash,
 )
 from .pool import pool_map
+
+if TYPE_CHECKING:  # a runtime import would close a service -> harness cycle
+    from ..service.repository import Repository
 
 __all__ = [
     "SimConfig",
@@ -140,7 +146,7 @@ def sim_fingerprint(config: SimConfig) -> Dict[str, object]:
 
 
 def sim_key(config: SimConfig) -> str:
-    """The content-addressed cache key of one simulation config."""
+    """The content-addressed store key of one simulation config."""
     return stable_hash(sim_fingerprint(config))
 
 
@@ -159,7 +165,7 @@ def _run_sim_config_in_worker(
 
 
 def run_sim_config(config: SimConfig) -> ParallelRunResult:
-    """Execute one simulation row (no caching; used by pool workers)."""
+    """Execute one simulation row (no store; used by pool workers)."""
     circuit = _named_circuit(config.which, config.quick, config.n_wires)
     if config.kind == "mp":
         return run_message_passing(
@@ -188,7 +194,7 @@ def run_sim_config(config: SimConfig) -> ParallelRunResult:
 @dataclass
 class _Strategy:
     jobs: int = 1
-    cache: Optional[ResultCache] = None
+    store: Optional["Repository"] = None
     timeout_s: Optional[float] = None
 
 
@@ -197,13 +203,13 @@ _STRATEGY = _Strategy()
 
 def configure(
     jobs: Optional[int] = None,
-    cache: Optional[ResultCache] = None,
+    store: Optional["Repository"] = None,
     timeout_s: Optional[float] = None,
     reset: bool = False,
 ) -> None:
     """Install the execution strategy the harness wants for sim rows.
 
-    ``reset=True`` restores the defaults (serial, uncached) first; other
+    ``reset=True`` restores the defaults (serial, no store) first; other
     arguments then override individual fields.  Drivers never call this —
     only the runner / parallel runner and tests do.
     """
@@ -212,8 +218,8 @@ def configure(
         _STRATEGY = _Strategy()
     if jobs is not None:
         _STRATEGY.jobs = jobs
-    if cache is not None:
-        _STRATEGY.cache = cache
+    if store is not None:
+        _STRATEGY.store = store
     if timeout_s is not None:
         _STRATEGY.timeout_s = timeout_s
 
@@ -221,29 +227,31 @@ def configure(
 def run_sim_configs(
     configs: List[SimConfig],
     jobs: Optional[int] = None,
-    cache: Optional[ResultCache] = None,
+    store: Optional["Repository"] = None,
     timeout_s: Optional[float] = None,
 ) -> List[ParallelRunResult]:
-    """Execute every config, in config order, with caching and fan-out.
+    """Execute every config, in config order, with the store and fan-out.
 
     Explicit arguments override the :func:`configure`-installed strategy;
-    the default (no configuration, no arguments) is serial and uncached —
+    the default (no configuration, no arguments) is serial with no store —
     identical to calling the simulators directly.
     """
     jobs = _STRATEGY.jobs if jobs is None else jobs
-    cache = _STRATEGY.cache if cache is None else cache
+    store = _STRATEGY.store if store is None else store
     timeout_s = _STRATEGY.timeout_s if timeout_s is None else timeout_s
 
     results: Dict[int, ParallelRunResult] = {}
     missing: List[int] = []
     keys: List[Optional[str]] = [None] * len(configs)
-    if cache is not None:
+    if store is not None:
         for i, config in enumerate(configs):
             keys[i] = sim_key(config)
-            hit = cache.get_sim(keys[i])
+            hit = store.get_sim(keys[i])
             if hit is None:
+                obs.incr("cache.sim.misses")
                 missing.append(i)
             else:
+                obs.incr("cache.sim.hits")
                 results[i] = hit
     else:
         missing = list(range(len(configs)))
@@ -273,7 +281,7 @@ def run_sim_configs(
             )
         for i, result in zip(missing, computed):
             results[i] = result
-            if cache is not None:
-                cache.put_sim(keys[i], result)
+            if store is not None:
+                store.put_sim(keys[i], result)
     obs.incr("harness.sim_rows", len(configs))
     return [results[i] for i in range(len(configs))]

@@ -5,9 +5,11 @@ traffic: ``locusroute serve`` runs a daemon that accepts routing /
 simulation / experiment jobs over JSON/HTTP, deduplicates identical
 work by content-addressed fingerprint, executes on the harness's
 salvage process pool, and persists every run into a queryable SQLite
-repository that supersedes the file cache as the canonical store
-(the file cache stays on as a read-through layer).  See
-docs/SERVICE.md.
+repository.  That repository is the package's one result store:
+``locusroute experiment --db`` keeps its experiments and simulation
+rows in the same file, so an experiment either side stored is a hit
+for the other.
+See docs/SERVICE.md.
 """
 
 from .client import ServiceClient

@@ -12,9 +12,9 @@ Dedup semantics (docs/SERVICE.md)
 Every submission gets its own job row (audit trail), but identical work
 executes once:
 
-- a fingerprint already **done** in the repository (or the read-through
-  file cache) is answered immediately — job row with status ``done``,
-  zero executions;
+- a fingerprint already **done** in the repository — executed by this
+  daemon, another daemon, or stored by ``locusroute experiment --db`` —
+  is answered immediately: job row with status ``done``, zero executions;
 - a fingerprint already **queued or running** gains a follower job
   (``dedup_of`` = the primary's id) that completes when the shared
   execution does — counted in ``service.jobs.dedup_hits``;
@@ -31,7 +31,7 @@ daemon.  SQLite writes happen only on daemon threads — pool workers
 return payloads; the dispatcher persists them.
 
 Telemetry: ``service.jobs.submitted / dedup_hits / repo_hits /
-cache_read_through / executed / failed``, ``service.queue.enqueued /
+executed / failed``, ``service.queue.enqueued /
 drained``, and a ``service.job`` span per execution (job latency).
 """
 
@@ -47,10 +47,11 @@ from typing import Any, Dict, List, Optional, Tuple
 from urllib.parse import urlparse
 
 from ..errors import ReproError, ServiceError
-from ..harness.cache import ResultCache, jsonify
+from ..harness.fingerprint import jsonify
 from ..harness.pool import pool_map_salvage
+from ..harness.runner import DEFAULT_DB
 from ..obs import telemetry as obs
-from .jobs import JobSpec, execute_job_in_worker, job_key, read_through
+from .jobs import JobSpec, execute_job_in_worker, job_key
 from .repository import Repository
 
 __all__ = ["RoutingService", "ServiceServer", "serve", "DEFAULT_PORT"]
@@ -69,10 +70,8 @@ class RoutingService:
     Parameters
     ----------
     repository:
-        The canonical store (shared with the HTTP layer and reports).
-    cache:
-        Optional file cache used as a read-through layer and warmed by
-        executions.
+        The result store (shared with the HTTP layer, reports and
+        ``locusroute experiment --db``).
     jobs:
         Salvage-pool width per batch (``1`` executes in-process, which
         tests use for speed and determinism).
@@ -88,14 +87,12 @@ class RoutingService:
     def __init__(
         self,
         repository: Repository,
-        cache: Optional[ResultCache] = None,
         jobs: int = 1,
         timeout_s: Optional[float] = None,
         poll_s: float = 0.05,
         paused: bool = False,
     ) -> None:
         self.repository = repository
-        self.cache = cache
         self.jobs = max(1, jobs)
         self.timeout_s = timeout_s
         self.poll_s = poll_s
@@ -161,17 +158,6 @@ class RoutingService:
                 self.repository.add_job(
                     job_id, fingerprint, spec.kind, spec.params,
                     status="done", source="repository",
-                )
-                return self._submission(job_id, fingerprint, spec, "done")
-            payload = read_through(spec, self.cache)
-            if payload is not None:
-                obs.incr("service.jobs.cache_read_through")
-                self.repository.record_result(
-                    fingerprint, spec.kind, spec.params, payload
-                )
-                self.repository.add_job(
-                    job_id, fingerprint, spec.kind, spec.params,
-                    status="done", source="file-cache",
                 )
                 return self._submission(job_id, fingerprint, spec, "done")
 
@@ -285,10 +271,9 @@ class RoutingService:
             self.repository.set_status(job_id, "running")
             for follower in self._followers_of(fingerprint):
                 self.repository.set_status(follower, "running")
-        cache_dir = str(self.cache.directory) if self.cache is not None else None
         report = pool_map_salvage(
             execute_job_in_worker,
-            [(spec, cache_dir) for _jid, spec, _fp in batch],
+            [spec for _jid, spec, _fp in batch],
             jobs=self.jobs,
             timeout_s=self.timeout_s,
             label="service job",
@@ -396,6 +381,8 @@ class _Handler(BaseHTTPRequestHandler):
             )
             try:
                 limit = int(params.get("limit", 200))
+                if limit < 0:  # SQLite reads a negative LIMIT as "no limit"
+                    raise ValueError
             except ValueError:
                 self._send(400, {"error": f"bad limit {params['limit']!r}"})
                 return
@@ -461,8 +448,7 @@ class ServiceServer(ThreadingHTTPServer):
 def serve(
     host: str = "127.0.0.1",
     port: int = DEFAULT_PORT,
-    db: str = ".locusroute_service.sqlite",
-    cache_dir: Optional[str] = ".locusroute_cache",
+    db: str = DEFAULT_DB,
     jobs: int = 1,
     timeout_s: Optional[float] = None,
     paused: bool = False,
@@ -473,9 +459,7 @@ def serve(
     ``server.shutdown()`` + ``server.service.stop()`` +
     ``server.service.repository.close()`` to tear down.
     """
-    repository = Repository(db)
-    cache = ResultCache(cache_dir) if cache_dir is not None else None
     service = RoutingService(
-        repository, cache=cache, jobs=jobs, timeout_s=timeout_s, paused=paused
+        Repository(db), jobs=jobs, timeout_s=timeout_s, paused=paused
     )
     return ServiceServer((host, port), service)

@@ -4,22 +4,16 @@ A *job* is one unit of work a client can submit to the daemon: a
 sequential routing run (``route``), one simulated parallel run
 (``mp`` / ``sm``, exactly a :class:`~repro.harness.simjobs.SimConfig`
 row), or a whole paper experiment (``experiment``).  Each job is
-identified by the same content-addressed fingerprint discipline as the
-file cache — :func:`job_key` hashes every input that determines the
-output, including the package source digest — so the repository, the
-in-flight dedup map, and the file cache all agree on what "the same
-job" means.
+identified by a content-addressed fingerprint — :func:`job_key` hashes
+every input that determines the output, including the package source
+digest — so the repository and the in-flight dedup map agree on what
+"the same job" means.  An ``experiment`` job's key *is* the harness's
+experiment key (:func:`repro.harness.runner.experiment_cache_key`), and
+both store the same payload, so an experiment that ``locusroute
+experiment --db`` stored is a repository hit for a daemon on that file.
 
-Cache layering (docs/SERVICE.md):
-
-1. the SQLite repository is canonical — a hit there never re-executes;
-2. the file cache (:class:`~repro.harness.cache.ResultCache`) stays as a
-   read-through layer: a repository miss that hits the file cache is
-   converted to a payload, persisted into the repository, and served
-   (:func:`read_through`);
-3. a miss in both executes (:func:`execute_job`), which itself runs
-   through the file cache for ``mp``/``sm``/``experiment`` kinds so the
-   two stores warm each other.
+:func:`execute_job` runs with no store: pool workers return payloads and
+the daemon thread persists them (docs/SERVICE.md).
 """
 
 from __future__ import annotations
@@ -31,19 +25,10 @@ from typing import Any, Dict, Optional, Tuple
 
 from ..errors import ServiceError
 from ..harness import simjobs
-from ..harness.cache import (
-    ResultCache,
-    code_fingerprint,
-    jsonify,
-    stable_hash,
-)
 from ..harness.experiments import EXPERIMENTS, run_experiment
-from ..harness.runner import (
-    experiment_cache_key,
-    payload_to_result,
-    result_to_payload,
-)
-from ..harness.simjobs import SimConfig, sim_fingerprint, sim_key
+from ..harness.fingerprint import code_fingerprint, jsonify, stable_hash
+from ..harness.runner import experiment_fingerprint, result_to_payload
+from ..harness.simjobs import SimConfig, sim_fingerprint
 from ..obs import telemetry as obs
 from ..route import SequentialRouter
 from ..updates import UpdateSchedule
@@ -55,7 +40,6 @@ __all__ = [
     "job_key",
     "execute_job",
     "execute_job_in_worker",
-    "read_through",
     "route_payload",
 ]
 
@@ -209,13 +193,10 @@ def job_fingerprint(spec: JobSpec) -> Dict[str, Any]:
         # harness row cache agree cell for cell.
         return {"unit": "service-job", "sim": sim_fingerprint(spec.sim_config())}
     if spec.kind == "experiment":
-        return {
-            "unit": "service-job",
-            "kind": "experiment",
-            "experiment_key": experiment_cache_key(
-                spec.params["exp_id"], bool(spec.params["quick"])
-            ),
-        }
+        # The harness's own fingerprint, so both share stored experiments.
+        return experiment_fingerprint(
+            spec.params["exp_id"], bool(spec.params["quick"])
+        )
     circuit = simjobs._named_circuit(
         spec.params["which"], bool(spec.params["quick"]), spec.params["n_wires"]
     )
@@ -246,13 +227,8 @@ def route_payload(result) -> Dict[str, Any]:
     }
 
 
-def execute_job(spec: JobSpec, cache: Optional[ResultCache] = None) -> Dict[str, Any]:
-    """Run one job to completion and return its JSON-safe payload.
-
-    ``mp``/``sm`` rows and experiments run *through* the file cache when
-    one is given, so warm configurations come back without simulating and
-    fresh ones warm the cache for future CLI runs.
-    """
+def execute_job(spec: JobSpec) -> Dict[str, Any]:
+    """Run one job to completion and return its JSON-safe payload."""
     if spec.kind == "route":
         circuit = simjobs._named_circuit(
             spec.params["which"], bool(spec.params["quick"]), spec.params["n_wires"]
@@ -262,28 +238,16 @@ def execute_job(spec: JobSpec, cache: Optional[ResultCache] = None) -> Dict[str,
         ).run()
         return route_payload(result)
     if spec.kind in ("mp", "sm"):
-        run = simjobs.run_sim_configs([spec.sim_config()], jobs=1, cache=cache)[0]
+        run = simjobs.run_sim_config(spec.sim_config())
         return jsonify({"kind": spec.kind, **run.summary_dict()})
-    # experiment
-    exp_id, quick = spec.params["exp_id"], bool(spec.params["quick"])
-    result = None
-    if cache is not None:
-        cached = cache.get_experiment(experiment_cache_key(exp_id, quick))
-        if cached is not None:
-            result = payload_to_result(cached)
-    if result is None:
-        result = run_experiment(exp_id, quick=quick)
-        if cache is not None:
-            cache.put_experiment(
-                experiment_cache_key(exp_id, quick), result_to_payload(result)
-            )
-    return jsonify(
-        {"kind": "experiment", **result_to_payload(result), "passed": result.passed}
+    result = run_experiment(
+        spec.params["exp_id"], quick=bool(spec.params["quick"])
     )
+    return result_to_payload(result)
 
 
 def execute_job_in_worker(
-    item: Tuple[JobSpec, Optional[str]],
+    spec: JobSpec,
 ) -> Tuple[Dict[str, Any], Dict[str, Any], float]:
     """Pool-worker entry: run one job, report payload + telemetry + wall.
 
@@ -295,43 +259,11 @@ def execute_job_in_worker(
     would wipe the daemon's counters and merging would double-count —
     an empty snapshot is returned instead.
     """
-    spec, cache_dir = item
     in_worker = multiprocessing.parent_process() is not None
     if in_worker:
         obs.reset()
-    cache = ResultCache(cache_dir) if cache_dir is not None else None
     wall0 = time.perf_counter()
-    payload = execute_job(spec, cache)
+    payload = execute_job(spec)
     wall = time.perf_counter() - wall0
     return payload, obs.snapshot() if in_worker else {}, wall
 
-
-# ----------------------------------------------------------------------
-# file-cache read-through
-# ----------------------------------------------------------------------
-def read_through(spec: JobSpec, cache: Optional[ResultCache]) -> Optional[Dict[str, Any]]:
-    """Serve a job from the file cache without executing, if possible.
-
-    Returns the payload on a hit, ``None`` on a miss (or for ``route``
-    jobs, which have no file-cache namespace).  The caller persists hits
-    into the repository, promoting legacy cache entries into the
-    canonical store as they are touched.
-    """
-    if cache is None:
-        return None
-    if spec.kind in ("mp", "sm"):
-        hit = cache.get_sim(sim_key(spec.sim_config()))
-        if hit is None:
-            return None
-        return jsonify({"kind": spec.kind, **hit.summary_dict()})
-    if spec.kind == "experiment":
-        cached = cache.get_experiment(
-            experiment_cache_key(spec.params["exp_id"], bool(spec.params["quick"]))
-        )
-        if cached is None:
-            return None
-        result = payload_to_result(cached)
-        return jsonify(
-            {"kind": "experiment", **result_to_payload(result), "passed": result.passed}
-        )
-    return None

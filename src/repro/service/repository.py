@@ -1,50 +1,65 @@
-"""SQLite-backed result repository: the service's canonical store.
+"""SQLite-backed result repository: the package's one result store.
 
-The file cache (:mod:`repro.harness.cache`) answers exactly one
-question — "have I run this fingerprint before?" — and cannot be
-queried, joined, or audited.  The repository keeps that content-addressed
-contract (``fingerprint -> payload``) but in SQLite (``schema.sql``), so
-the daemon, ``report.py``, and ad-hoc ``sqlite3`` sessions can ask
-richer questions: every submission ever made, which ones shared an
+Every stored result lives here (``schema.sql``): service jobs and
+harness experiments in ``results`` (content-addressed JSON,
+``fingerprint -> payload``), pickled simulation rows of the harness
+sweeps in ``sim_rows``, and the daemon's submission history in
+``jobs``.  The daemon, ``locusroute experiment --db``, ``report.py``
+and ad-hoc ``sqlite3`` sessions all read the same file, so an
+experiment one of them stored is a hit for the others, and the store
+can be queried: every submission ever made, which ones shared an
 execution, how long each kind takes, what failed and why.
 
-Concurrency and corruption policy
----------------------------------
+Concurrency, durability and corruption policy
+---------------------------------------------
 One :class:`Repository` serialises its own statements behind a lock and
 opens SQLite in WAL mode with a busy timeout, so the daemon's HTTP
 threads and dispatcher thread share one instance safely, and *separate
-processes* (a daemon plus a CLI report, or two daemons pointed at the
-same file by mistake) contend through SQLite's own file locking.
-Result writes are idempotent ``INSERT OR REPLACE`` keyed by
-fingerprint — two processes racing to record the same configuration
-both succeed and agree.
+processes* (a daemon plus a CLI sweep, or the harness's pool workers,
+each with its own :class:`Repository` — a connection is never used
+across a fork) contend through SQLite's own file locking.  Writes are
+idempotent ``INSERT OR REPLACE`` keyed by fingerprint — two processes
+racing to record the same configuration both succeed and agree.  With
+``synchronous=NORMAL`` a power loss can drop the last commits but never
+leaves the file inconsistent; a lost row is simply recomputed.
 
 A corrupted or truncated database degrades to a miss, never an error:
 if the file cannot even be opened as a database it is moved aside to
 ``<name>.corrupt.<n>`` and recreated empty (counted in
-``service.repository.recovered``); a row that fails to decode mid-read
-is treated as absent (``service.repository.corrupt_rows``).  This is
-the same contract the file cache keeps for truncated pickles.
+``service.repository.recovered``).  A file another process holds locked
+is not corrupt: opening it waits up to the busy timeout, then raises
+:class:`~repro.errors.ServiceError`.  A row that fails to decode mid-read —
+undecodable JSON, a truncated or garbage pickle — is treated as absent
+(``service.repository.corrupt_rows``), and so is a row with a stale
+``schema_version``.
 """
 
 from __future__ import annotations
 
 import json
+import pickle
 import sqlite3
 import threading
 import time
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
+from ..errors import ServiceError
 from ..obs import telemetry as obs
 
 __all__ = ["Repository", "REPOSITORY_SCHEMA"]
 
 PathLike = Union[str, Path]
 
-#: Bump to invalidate persisted payloads on a format change (mirrors
-#: ``CACHE_SCHEMA`` for the file cache; the two version independently).
+#: Bump to invalidate persisted payloads (both result tables) on a
+#: format change.
 REPOSITORY_SCHEMA = 1
+
+#: What unpickling a truncated or garbage ``sim_rows`` blob can raise.
+_UNPICKLE_ERRORS = (
+    ValueError, EOFError, pickle.UnpicklingError, AttributeError,
+    ImportError, IndexError, TypeError, KeyError,
+)
 
 _SCHEMA_PATH = Path(__file__).with_name("schema.sql")
 
@@ -76,19 +91,36 @@ class Repository:
         conn = sqlite3.connect(
             self.path, timeout=self._timeout_s, check_same_thread=False
         )
-        conn.row_factory = sqlite3.Row
-        conn.execute("PRAGMA journal_mode=WAL")
-        conn.execute("PRAGMA synchronous=NORMAL")
-        conn.executescript(_schema_sql())
-        conn.commit()
+        try:
+            conn.row_factory = sqlite3.Row
+            conn.execute("PRAGMA journal_mode=WAL")
+            conn.execute("PRAGMA synchronous=NORMAL")
+            conn.executescript(_schema_sql())
+            conn.commit()
+        except BaseException:
+            conn.close()
+            raise
         return conn
 
     def _open(self) -> sqlite3.Connection:
-        try:
-            return self._connect()
-        except sqlite3.DatabaseError:
-            if self.path == ":memory:":
-                raise
+        deadline = time.monotonic() + self._timeout_s
+        while True:
+            try:
+                return self._connect()
+            except sqlite3.DatabaseError as exc:
+                if self.path == ":memory:":
+                    raise
+                if "locked" not in str(exc):
+                    break
+                # Another process is creating or opening the same file.
+                # That is contention, not corruption: moving the file
+                # aside would orphan the other process's writes.
+                if time.monotonic() > deadline:
+                    raise ServiceError(
+                        f"result store {self.path} stayed locked for "
+                        f"{self._timeout_s:g} s: {exc}"
+                    ) from exc
+                time.sleep(0.01)
         # Corrupt/truncated file: move it aside and start fresh — the
         # canonical store must degrade to a miss, not a crash loop.
         target = Path(self.path)
@@ -230,7 +262,7 @@ class Repository:
                     fingerprint,
                     kind,
                     json.dumps(config, sort_keys=True),
-                    json.dumps(payload, sort_keys=True),
+                    json.dumps(payload),  # key order kept: checks render in it
                     json.dumps(telemetry or {}, sort_keys=True),
                     REPOSITORY_SCHEMA,
                     wall_s,
@@ -242,8 +274,7 @@ class Repository:
     def get_result(self, fingerprint: str) -> Optional[Dict[str, Any]]:
         """The stored result row for a fingerprint, or ``None`` on miss.
 
-        Wrong-schema and undecodable rows are misses (and counted), the
-        same treatment the file cache gives stale or truncated entries.
+        Wrong-schema and undecodable rows are misses (and counted).
         """
         try:
             with self._lock:
@@ -307,3 +338,37 @@ class Repository:
                 record["config"] = {}
             out.append(record)
         return out
+
+    # -- simulation rows -----------------------------------------------
+    def put_sim(self, key: str, obj: object) -> None:
+        """Persist one pickled simulation result (idempotent per key)."""
+        blob = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
+        with self._lock:
+            self._conn.execute(
+                "INSERT OR REPLACE INTO sim_rows (key, schema_version, result,"
+                " created_unix) VALUES (?, ?, ?, ?)",
+                (key, REPOSITORY_SCHEMA, blob, time.time()),
+            )
+            self._conn.commit()
+
+    def get_sim(self, key: str) -> Optional[object]:
+        """The stored simulation result for *key*, or ``None`` on miss.
+
+        A wrong-schema, truncated or garbage blob is a miss (and counted).
+        """
+        try:
+            with self._lock:
+                row = self._conn.execute(
+                    "SELECT schema_version, result FROM sim_rows WHERE key = ?",
+                    (key,),
+                ).fetchone()
+        except sqlite3.DatabaseError:
+            obs.incr("service.repository.corrupt_rows")
+            return None
+        if row is None or row["schema_version"] != REPOSITORY_SCHEMA:
+            return None
+        try:
+            return pickle.loads(row["result"])
+        except _UNPICKLE_ERRORS:
+            obs.incr("service.repository.corrupt_rows")
+            return None

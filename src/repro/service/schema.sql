@@ -1,15 +1,20 @@
--- SQLite schema of the routing service repository (docs/SERVICE.md).
+-- SQLite schema of the result repository (docs/SERVICE.md).
 --
--- Two tables, mirroring the file cache's two roles but queryable:
+-- The one result store of the package: the service, the experiment
+-- harness and the CLI all read and write these tables.
 --
---   results: the canonical content-addressed store.  One row per
---            *distinct* configuration ever executed (or imported from
---            the file cache), keyed by the stable_hash fingerprint of
---            everything that determines the output.
---   jobs:    the submission history.  One row per *submission*, so
---            deduplicated submissions of the same configuration each
---            keep their own audit row (status, timestamps, which
---            execution they shared via dedup_of).
+--   results:  content-addressed JSON results.  One row per *distinct*
+--             service job or harness experiment ever run, keyed by the
+--             stable_hash fingerprint of everything that determines the
+--             output.
+--   sim_rows: pickled ParallelRunResult objects of single simulation
+--             rows (harness/simjobs.py), keyed by their sim fingerprint;
+--             they carry numpy arrays and routed paths that JSON cannot
+--             round-trip.
+--   jobs:     the submission history.  One row per *submission*, so
+--             deduplicated submissions of the same configuration each
+--             keep their own audit row (status, timestamps, which
+--             execution they shared via dedup_of).
 
 CREATE TABLE IF NOT EXISTS results (
     fingerprint    TEXT PRIMARY KEY,   -- stable_hash of the job fingerprint
@@ -18,8 +23,15 @@ CREATE TABLE IF NOT EXISTS results (
     payload        TEXT NOT NULL,      -- JSON result payload
     telemetry      TEXT NOT NULL DEFAULT '{}',  -- counters/spans snapshot
     schema_version INTEGER NOT NULL,   -- repository payload format
-    wall_s         REAL,               -- execution wall time (NULL: imported)
+    wall_s         REAL,               -- execution wall time
     created_unix   REAL NOT NULL
+);
+
+CREATE TABLE IF NOT EXISTS sim_rows (
+    key            TEXT PRIMARY KEY,   -- stable_hash of the sim fingerprint
+    schema_version INTEGER,            -- repository payload format
+    result         BLOB,               -- pickled ParallelRunResult
+    created_unix   REAL
 );
 
 CREATE TABLE IF NOT EXISTS jobs (
@@ -29,7 +41,7 @@ CREATE TABLE IF NOT EXISTS jobs (
     config         TEXT NOT NULL,
     status         TEXT NOT NULL,      -- queued | running | done | failed
     source         TEXT NOT NULL DEFAULT 'executed',
-                                       -- executed | repository | file-cache | dedup
+                                       -- executed | repository | dedup
     error          TEXT,               -- final error of a failed job
     dedup_of       TEXT,               -- job_id whose execution this shares
     submitted_unix REAL NOT NULL,

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cli import build_parser, main
+from repro.obs import telemetry as obs
 
 
 class TestParser:
@@ -141,14 +142,14 @@ class TestExperimentCommand:
     def test_parser_defaults_for_harness_flags(self):
         args = build_parser().parse_args(["experiment", "all"])
         assert args.jobs == 1
-        assert args.cache_dir == ".locusroute_cache"
+        assert args.db == ".locusroute_service.sqlite"
         assert args.no_cache is False
         assert args.timeout is None
 
     def test_jobs_flag_runs_parallel(self, capsys, tmp_path):
         code = main(
             ["experiment", "X4", "T6", "--quick", "--jobs", "2",
-             "--cache-dir", str(tmp_path / "cache"),
+             "--db", str(tmp_path / "store.sqlite"),
              "--out", str(tmp_path)]
         )
         assert code == 0
@@ -156,22 +157,23 @@ class TestExperimentCommand:
         assert "[X4]" in out and "[T6]" in out
         assert (tmp_path / "BENCH_harness.json").exists()
 
-    def test_cache_dir_warm_second_run(self, capsys, tmp_path):
-        argv = ["experiment", "X4", "--quick",
-                "--cache-dir", str(tmp_path / "cache")]
+    def test_db_warm_second_run(self, capsys, tmp_path):
+        db = tmp_path / "store.sqlite"
+        argv = ["experiment", "X4", "--quick", "--db", str(db)]
         assert main(argv) == 0
-        assert (tmp_path / "cache" / "experiments").exists()
-        assert main(argv) == 0  # warm pass serves from the cache
+        assert db.exists()
+        before = obs.snapshot()["counters"].get("cache.experiment.hits", 0)
+        assert main(argv) == 0  # warm pass serves from the store
+        assert obs.snapshot()["counters"]["cache.experiment.hits"] == before + 1
         assert "[X4]" in capsys.readouterr().out
 
     def test_no_cache_flag_writes_nothing(self, capsys, tmp_path):
-        cache_dir = tmp_path / "cache"
+        db = tmp_path / "store.sqlite"
         code = main(
-            ["experiment", "X4", "--quick", "--no-cache",
-             "--cache-dir", str(cache_dir)]
+            ["experiment", "X4", "--quick", "--no-cache", "--db", str(db)]
         )
         assert code == 0
-        assert not cache_dir.exists()
+        assert list(tmp_path.iterdir()) == []
 
     def test_bench_flag_explicit_path(self, capsys, tmp_path):
         import json

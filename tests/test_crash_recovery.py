@@ -34,7 +34,7 @@ from repro.faults import (
     random_crashes,
 )
 from repro.grid import HashRing, OwnershipMap, RegionMap
-from repro.harness.cache import jsonify, stable_hash
+from repro.harness.fingerprint import jsonify, stable_hash
 from repro.harness.pool import pool_map_salvage
 from repro.harness.simjobs import SimConfig, run_sim_configs
 from repro.parallel import run_message_passing, run_shared_memory

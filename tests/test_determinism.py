@@ -4,7 +4,7 @@ The whole verification and caching story rests on the simulators being
 pure functions of their configuration: fixed circuit seeds, virtual
 time, no wall-clock or ordering dependence.  These tests pin that down
 by running the same :class:`SimConfig` rows serially, through the
-process pool, and back out of a warm result cache, and requiring the
+process pool, and back out of a warm result store, and requiring the
 result *fingerprints* — ``stable_hash`` of the full JSON summary — to be
 identical everywhere, including across repeated runs in one process.
 """
@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.harness.cache import ResultCache, stable_hash
+from repro.harness.fingerprint import stable_hash
 from repro.harness.simjobs import SimConfig, run_sim_configs
+from repro.service.repository import Repository
 from repro.updates import UpdateSchedule
 
 CONFIGS = [
@@ -56,9 +57,12 @@ def test_pool_matches_serial(serial_fingerprints):
 
 
 def test_cache_round_trip_matches_serial(serial_fingerprints, tmp_path):
-    cache = ResultCache(tmp_path / "cache")
-    cold = fingerprints(run_sim_configs(CONFIGS, jobs=1, cache=cache))
-    warm = fingerprints(run_sim_configs(CONFIGS, jobs=1, cache=cache))
+    store = Repository(tmp_path / "store.sqlite")
+    try:
+        cold = fingerprints(run_sim_configs(CONFIGS, jobs=1, store=store))
+        warm = fingerprints(run_sim_configs(CONFIGS, jobs=1, store=store))
+    finally:
+        store.close()
     assert cold == serial_fingerprints
     assert warm == serial_fingerprints
 

@@ -14,7 +14,7 @@ from repro.faults import (
     NodeStall,
     RecoveryPolicy,
 )
-from repro.harness.cache import jsonify, stable_hash
+from repro.harness.fingerprint import jsonify, stable_hash
 from repro.netsim import MeshTopology, Message, WormholeNetwork
 from repro.parallel import run_message_passing
 from repro.updates import UpdateSchedule

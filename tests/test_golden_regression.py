@@ -22,7 +22,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.harness.cache import jsonify
+from repro.harness.fingerprint import jsonify
 from repro.harness.experiments import run_experiment
 
 GOLDEN_DIR = Path(__file__).parent / "golden"

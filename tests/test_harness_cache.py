@@ -1,4 +1,6 @@
-"""Tests for the content-addressed result cache (harness.cache / simjobs)."""
+"""Tests for the content-addressed result store: fingerprints
+(harness.fingerprint), experiment and sim-row entries in the SQLite
+repository, and the stored path through simjobs."""
 
 from __future__ import annotations
 
@@ -10,16 +12,8 @@ import numpy as np
 import pytest
 
 from repro.errors import ExperimentError
-from repro.harness.cache import (
-    CACHE_SCHEMA,
-    NO_FSYNC_ENV,
-    ResultCache,
-    atomic_write_bytes,
-    atomic_write_text,
-    code_fingerprint,
-    jsonify,
-    stable_hash,
-)
+from repro.harness.fingerprint import code_fingerprint, jsonify, stable_hash
+from repro.harness.runner import atomic_write_text
 from repro.harness.simjobs import (
     SimConfig,
     run_sim_configs,
@@ -27,7 +21,15 @@ from repro.harness.simjobs import (
     sim_key,
 )
 from repro.obs import telemetry as obs
+from repro.service.repository import REPOSITORY_SCHEMA, Repository
 from repro.updates import UpdateSchedule
+
+
+@pytest.fixture
+def store(tmp_path):
+    repo = Repository(tmp_path / "store.sqlite")
+    yield repo
+    repo.close()
 
 
 def tiny_mp_config(**overrides):
@@ -137,139 +139,126 @@ class TestSimKey:
             SimConfig(kind="mp", schedule=None)
 
 
-class TestResultCache:
-    def test_experiment_round_trip(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        cache.put_experiment("k1", {"rows": [1, 2]})
-        payload = cache.get_experiment("k1")
-        assert payload["rows"] == [1, 2]
-        assert payload["schema"] == CACHE_SCHEMA
+class TestStoreEntries:
+    def test_experiment_round_trip(self, store):
+        store.record_result("k1", "experiment", {}, {"rows": [1, 2]})
+        stored = store.get_result("k1")
+        assert stored["payload"]["rows"] == [1, 2]
+        assert stored["kind"] == "experiment"
 
-    def test_experiment_miss(self, tmp_path):
-        assert ResultCache(tmp_path).get_experiment("absent") is None
+    def test_experiment_miss(self, store):
+        assert store.get_result("absent") is None
 
-    def test_corrupt_experiment_entry_is_a_miss(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        atomic_write_text(cache.experiment_path("bad"), "{not json")
-        assert cache.get_experiment("bad") is None
-
-    def test_wrong_schema_is_a_miss(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        atomic_write_text(
-            cache.experiment_path("old"), json.dumps({"schema": -1, "rows": []})
+    def test_corrupt_experiment_entry_is_a_miss(self, store):
+        store.record_result("bad", "experiment", {}, {"rows": []})
+        store._conn.execute(
+            "UPDATE results SET payload = '{not json' WHERE fingerprint = 'bad'"
         )
-        assert cache.get_experiment("old") is None
+        assert store.get_result("bad") is None
 
-    def test_sim_round_trip_preserves_numpy(self, tmp_path):
-        cache = ResultCache(tmp_path)
+    def test_wrong_schema_is_a_miss(self, store):
+        store.record_result("old", "experiment", {}, {"rows": []})
+        store.put_sim("old", {"x": 1})
+        store._conn.execute("UPDATE results SET schema_version = -1")
+        store._conn.execute("UPDATE sim_rows SET schema_version = -1")
+        assert store.get_result("old") is None
+        assert store.get_sim("old") is None
+
+    def test_sim_round_trip_preserves_numpy(self, store):
         obj = {"array": np.arange(5), "n": 3}
-        cache.put_sim("k", obj)
-        out = cache.get_sim("k")
+        store.put_sim("k", obj)
+        out = store.get_sim("k")
         np.testing.assert_array_equal(out["array"], np.arange(5))
 
-    def test_truncated_sim_entry_is_a_miss(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        cache.put_sim("k", {"x": 1})
-        path = cache.sim_path("k")
-        path.write_bytes(path.read_bytes()[:10])  # truncate mid-pickle
-        assert cache.get_sim("k") is None
+    def test_truncated_sim_entry_is_a_miss(self, store):
+        store.put_sim("k", {"x": 1})
+        store._conn.execute(  # truncate mid-pickle
+            "UPDATE sim_rows SET result = substr(result, 1, 10) WHERE key = 'k'"
+        )
+        assert store.get_sim("k") is None
 
-    def test_garbage_sim_entry_is_a_miss(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        cache.sim_path("k").parent.mkdir(parents=True, exist_ok=True)
-        cache.sim_path("k").write_bytes(b"\x00\x01 not a pickle")
-        assert cache.get_sim("k") is None
+    def test_garbage_sim_entry_is_a_miss(self, store):
+        store._conn.execute(
+            "INSERT INTO sim_rows VALUES ('k', ?, ?, 0)",
+            (REPOSITORY_SCHEMA, b"\x00\x01 not a pickle"),
+        )
+        assert store.get_sim("k") is None
 
     def test_atomic_write_leaves_no_temp_files(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        cache.put_experiment("k", {"rows": []})
-        names = [p.name for p in cache.experiment_path("k").parent.iterdir()]
-        assert names == ["k.json"]
-
-    def test_reserved_schema_key_rejected(self, tmp_path):
-        # Regression: {"schema": ..., **payload} let a caller payload
-        # silently override the cache's own format tag.
-        cache = ResultCache(tmp_path)
-        with pytest.raises(ExperimentError, match="schema"):
-            cache.put_experiment("k", {"schema": 99, "rows": []})
-        assert cache.get_experiment("k") is None
+        atomic_write_text(tmp_path / "k.json", json.dumps({"rows": []}))
+        assert [p.name for p in tmp_path.iterdir()] == ["k.json"]
 
 
 class TestDurableWrites:
-    def _fsync_calls(self, monkeypatch):
+    def test_atomic_write_fsyncs_file_and_directory(self, tmp_path, monkeypatch):
+        # Regression: atomic writes never fsynced, so a "committed" file
+        # (or its name) could vanish on power loss.
         calls = []
         real_fsync = os.fsync
         monkeypatch.setattr(
             os, "fsync", lambda fd: (calls.append(fd), real_fsync(fd))[1]
         )
-        return calls
-
-    def test_atomic_write_fsyncs_file_and_directory(self, tmp_path, monkeypatch):
-        # Regression: atomic_write_bytes never fsynced, so a "committed"
-        # entry (or its name) could vanish on power loss.
-        monkeypatch.delenv(NO_FSYNC_ENV, raising=False)
-        calls = self._fsync_calls(monkeypatch)
-        atomic_write_bytes(tmp_path / "entry.bin", b"payload")
+        atomic_write_text(tmp_path / "entry.json", "payload")
         assert len(calls) >= 2  # the temp file and its directory
-        assert (tmp_path / "entry.bin").read_bytes() == b"payload"
-
-    def test_no_fsync_env_skips_fsyncs(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(NO_FSYNC_ENV, "1")
-        calls = self._fsync_calls(monkeypatch)
-        atomic_write_bytes(tmp_path / "entry.bin", b"payload")
-        assert calls == []
-        assert (tmp_path / "entry.bin").read_bytes() == b"payload"
+        assert (tmp_path / "entry.json").read_text() == "payload"
 
     def test_failed_write_cleans_up_temp_file(self, tmp_path, monkeypatch):
-        monkeypatch.delenv(NO_FSYNC_ENV, raising=False)
-
         def boom(fd):
             raise OSError("disk on fire")
 
         monkeypatch.setattr(os, "fsync", boom)
         with pytest.raises(OSError):
-            atomic_write_bytes(tmp_path / "entry.bin", b"payload")
+            atomic_write_text(tmp_path / "entry.json", "payload")
         assert list(tmp_path.iterdir()) == []
 
 
 def _concurrent_put_sim(item):
     """Module-level pool worker (picklable under spawn)."""
-    cache_dir, worker_id = item
-    cache = ResultCache(cache_dir)
-    for _ in range(20):
-        cache.put_sim("shared-key", {"worker": worker_id, "data": np.arange(64)})
+    db, worker_id = item
+    store = Repository(db)
+    try:
+        for _ in range(20):
+            store.put_sim("shared-key", {"worker": worker_id, "data": np.arange(64)})
+    finally:
+        store.close()
     return worker_id
 
 
 class TestConcurrentCacheAccess:
     def test_racing_writers_never_corrupt_the_entry(self, tmp_path):
-        """Two processes hammering the same key: readers always see a
-        complete entry (one writer's version, never a torn mix)."""
+        """Two processes hammering the same key both succeed, and readers
+        always see a complete row (one writer's version, never a torn mix)."""
+        db = str(tmp_path / "store.sqlite")
+        reader = Repository(db)
         ctx = multiprocessing.get_context("spawn")
-        with ctx.Pool(2) as pool:
-            async_result = pool.map_async(
-                _concurrent_put_sim, [(str(tmp_path), 1), (str(tmp_path), 2)]
-            )
-            cache = ResultCache(tmp_path)
-            seen = 0
-            while not async_result.ready():
-                entry = cache.get_sim("shared-key")
-                if entry is not None:
-                    assert entry["worker"] in (1, 2)
-                    np.testing.assert_array_equal(entry["data"], np.arange(64))
-                    seen += 1
-            assert sorted(async_result.get()) == [1, 2]
-        final = ResultCache(tmp_path).get_sim("shared-key")
-        assert final["worker"] in (1, 2)
+        try:
+            with ctx.Pool(2) as pool:
+                async_result = pool.map_async(
+                    _concurrent_put_sim, [(db, 1), (db, 2)]
+                )
+                while not async_result.ready():
+                    entry = reader.get_sim("shared-key")
+                    if entry is not None:
+                        assert entry["worker"] in (1, 2)
+                        np.testing.assert_array_equal(entry["data"], np.arange(64))
+                assert sorted(async_result.get()) == [1, 2]
+        finally:
+            reader.close()
+        final = Repository(db)
+        try:
+            entry = final.get_sim("shared-key")
+        finally:
+            final.close()
+        assert entry["worker"] in (1, 2)
+        np.testing.assert_array_equal(entry["data"], np.arange(64))
 
 
 class TestCachedSimRows:
-    def test_second_run_hits_and_matches(self, tmp_path):
-        cache = ResultCache(tmp_path)
+    def test_second_run_hits_and_matches(self, store):
         configs = [tiny_mp_config(), tiny_mp_config(n_procs=8)]
-        first = run_sim_configs(configs, cache=cache)
+        first = run_sim_configs(configs, store=store)
         before = obs.snapshot()
-        second = run_sim_configs(configs, cache=cache)
+        second = run_sim_configs(configs, store=store)
         delta = obs.snapshot()["counters"]
         assert (
             delta.get("cache.sim.hits", 0)
@@ -280,17 +269,17 @@ class TestCachedSimRows:
             assert a.table_row() == b.table_row()
             assert a.exec_time_s == b.exec_time_s
 
-    def test_overlapping_sweeps_share_rows(self, tmp_path):
-        cache = ResultCache(tmp_path)
+    def test_overlapping_sweeps_share_rows(self, store):
         shared = tiny_mp_config()
-        run_sim_configs([shared], cache=cache)
+        run_sim_configs([shared], store=store)
         before = obs.snapshot()["counters"].get("cache.sim.hits", 0)
-        run_sim_configs([shared, tiny_mp_config(n_procs=2)], cache=cache)
+        run_sim_configs([shared, tiny_mp_config(n_procs=2)], store=store)
         after = obs.snapshot()["counters"].get("cache.sim.hits", 0)
         assert after - before == 1  # the shared row hit, the new one ran
 
-    def test_uncached_rows_identical_to_cached(self, tmp_path):
+    def test_uncached_rows_identical_to_cached(self, store):
         config = tiny_mp_config()
         plain = run_sim_configs([config])[0]
-        cached = run_sim_configs([config], cache=ResultCache(tmp_path))[0]
+        run_sim_configs([config], store=store)  # stores the row
+        cached = run_sim_configs([config], store=store)[0]  # reads it back
         assert plain.table_row() == cached.table_row()

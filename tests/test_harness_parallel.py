@@ -9,7 +9,7 @@ import time
 import pytest
 
 from repro.errors import ExperimentError
-from repro.harness import ResultCache, run_all
+from repro.harness import run_all
 from repro.harness.pool import default_jobs, pool_map
 from repro.harness.runner import BENCH_FILENAME
 from repro.harness.simjobs import SimConfig, run_sim_configs
@@ -137,14 +137,10 @@ class TestRunAllParallel:
         assert serial[0].rows == parallel[0].rows
 
     def test_parallel_run_with_cache_warm_second_pass(self, tmp_path):
-        cache_dir = tmp_path / "cache"
-        cold = run_all(
-            ["X4", "T6"], quick=True, echo=False, jobs=2, cache_dir=cache_dir
-        )
+        db = tmp_path / "store.sqlite"
+        cold = run_all(["X4", "T6"], quick=True, echo=False, jobs=2, db=db)
         before = obs.snapshot()["counters"].get("cache.experiment.hits", 0)
-        warm = run_all(
-            ["X4", "T6"], quick=True, echo=False, jobs=1, cache_dir=cache_dir
-        )
+        warm = run_all(["X4", "T6"], quick=True, echo=False, jobs=1, db=db)
         hits = obs.snapshot()["counters"].get("cache.experiment.hits", 0) - before
         assert hits == 2
         for a, b in zip(cold, warm):
@@ -157,7 +153,7 @@ class TestRunAllParallel:
             echo=False,
             jobs=2,
             out_dir=tmp_path,
-            cache_dir=tmp_path / "cache",
+            db=tmp_path / "store.sqlite",
         )
         bench = json.loads((tmp_path / BENCH_FILENAME).read_text())
         assert bench["schema"] == "bench-harness/1"
@@ -167,10 +163,13 @@ class TestRunAllParallel:
         assert bench["experiments"][0]["events_processed"] > 0
         assert bench["totals"]["cache"]["experiment.misses"] == 1
 
-    def test_no_cache_bypasses_reads_and_writes(self, tmp_path):
-        cache_dir = tmp_path / "cache"
-        run_all(
-            ["X4"], quick=True, echo=False,
-            cache_dir=cache_dir, use_cache=False,
-        )
-        assert not cache_dir.exists()
+    def test_no_cache_bypasses_reads_and_writes(self, tmp_path, monkeypatch):
+        db = tmp_path / "store.sqlite"
+        run_all(["X4"], quick=True, echo=False, db=db)
+        monkeypatch.chdir(tmp_path)
+        counters = obs.snapshot()["counters"]
+        run_all(["X4"], quick=True, echo=False, db=None)
+        after = obs.snapshot()["counters"]
+        for name in ("cache.experiment.hits", "cache.experiment.misses"):
+            assert after.get(name, 0) == counters.get(name, 0)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["store.sqlite"]

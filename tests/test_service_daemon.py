@@ -16,8 +16,7 @@ import threading
 import pytest
 
 from repro.errors import ServiceError
-from repro.harness.cache import ResultCache
-from repro.harness.simjobs import SimConfig, run_sim_configs
+from repro.harness import run_all
 from repro.obs import telemetry as obs
 from repro.service import (
     JobSpec,
@@ -30,7 +29,6 @@ from repro.service import (
 )
 from repro.service.daemon import MAX_BODY_BYTES, _Handler
 from repro.service.jobs import route_payload
-from repro.updates import UpdateSchedule
 from repro.viz import ascii_job_timeline
 
 ROUTE_PARAMS = {"which": "bnrE", "n_wires": 24, "iterations": 1, "quick": True}
@@ -59,12 +57,7 @@ def executed_count():
 
 @pytest.fixture
 def service(tmp_path):
-    svc = RoutingService(
-        Repository(tmp_path / "svc.sqlite"),
-        cache=ResultCache(tmp_path / "cache"),
-        jobs=1,
-        paused=True,
-    )
+    svc = RoutingService(Repository(tmp_path / "svc.sqlite"), jobs=1, paused=True)
     yield svc
     svc.stop()
     svc.repository.close()
@@ -130,25 +123,31 @@ class TestDedup:
         assert service.drain(timeout_s=60)
         assert executed_count() - before == 1
 
-    def test_file_cache_read_through(self, service):
-        """A warm file cache answers mp jobs without executing and the
-        payload is promoted into the repository."""
-        config = SimConfig(
-            kind="mp",
-            which="bnrE",
-            n_wires=24,
-            schedule=UpdateSchedule(send_rmt_every=2, send_loc_every=10),
-            n_procs=4,
-            iterations=1,
-        )
-        run_sim_configs([config], cache=service.cache)  # warm the file cache
-        before = executed_count()
-        record = service.submit("mp", tiny_mp_params())
-        assert record["status"] == "done"
-        assert executed_count() == before
-        assert service.status(record["job_id"])["source"] == "file-cache"
-        stored = service.repository.get_result(record["fingerprint"])
-        assert stored["payload"]["kind"] == "mp"
+    def test_harness_stored_experiment_is_a_repository_hit(self, tmp_path):
+        """An experiment the harness stored is answered by a daemon on the
+        same file without executing, and the report renders it."""
+        from repro.harness.report import main as report_main
+
+        db = tmp_path / "shared.sqlite"
+        (result,) = run_all(["X4"], quick=True, echo=False, db=db)
+        svc = RoutingService(Repository(db), jobs=1, paused=True)
+        try:
+            before = executed_count()
+            record = svc.submit("experiment", {"exp_id": "X4", "quick": True})
+            assert record["status"] == "done"
+            assert svc.status(record["job_id"])["source"] == "repository"
+            assert executed_count() == before
+            stored, state = svc.result(record["job_id"])
+            assert state == "done"
+            assert stored["payload"]["kind"] == "experiment"
+            assert stored["payload"]["rows"] == result.rows
+            assert stored["payload"]["passed"] == result.passed
+        finally:
+            svc.stop()
+            svc.repository.close()
+        out = tmp_path / "report.md"
+        assert report_main(["--service", str(db), str(out)]) == 0
+        assert "## X4" in out.read_text()
 
     def test_unknown_kind_rejected(self, service):
         with pytest.raises(ServiceError, match="unknown job kind"):
@@ -186,12 +185,7 @@ class TestDedup:
 
 @pytest.fixture
 def server(tmp_path):
-    srv = serve(
-        port=0,
-        db=str(tmp_path / "svc.sqlite"),
-        cache_dir=str(tmp_path / "cache"),
-        jobs=1,
-    )
+    srv = serve(port=0, db=str(tmp_path / "svc.sqlite"), jobs=1)
     thread = threading.Thread(target=srv.serve_forever, daemon=True)
     thread.start()
     yield srv
@@ -274,6 +268,15 @@ class TestHTTP:
         conn = http.client.HTTPConnection(*server.server_address, timeout=5)
         try:
             conn.request("GET", "/jobs?limit=many")
+            assert conn.getresponse().status == 400
+        finally:
+            conn.close()
+
+    def test_negative_list_limit_is_a_400(self, server):
+        # SQLite reads LIMIT -1 as "no limit": the whole, unbounded history.
+        conn = http.client.HTTPConnection(*server.server_address, timeout=5)
+        try:
+            conn.request("GET", "/jobs?limit=-1")
             assert conn.getresponse().status == 400
         finally:
             conn.close()

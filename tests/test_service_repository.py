@@ -7,6 +7,7 @@ import sqlite3
 
 import pytest
 
+from repro.errors import ServiceError
 from repro.service.repository import REPOSITORY_SCHEMA, Repository
 
 
@@ -136,6 +137,22 @@ class TestCorruptionRecovery:
             assert repo.get_result("fp2")["payload"] == {"v": 2}
         finally:
             repo.close()
+
+    def test_locked_store_is_not_moved_aside(self, tmp_path):
+        # Regression: "database is locked" was treated as corruption, so a
+        # store another process held was moved aside and its rows lost.
+        db = tmp_path / "svc.sqlite"
+        Repository(db).close()
+        holder = sqlite3.connect(db)
+        holder.execute("PRAGMA locking_mode=EXCLUSIVE")
+        holder.execute("BEGIN EXCLUSIVE")
+        try:
+            with pytest.raises(ServiceError, match="locked"):
+                Repository(db, timeout_s=0.2)
+        finally:
+            holder.rollback()
+            holder.close()
+        assert list(tmp_path.glob("*.corrupt.*")) == []
 
     def test_memory_database_never_recovers_silently(self):
         repo = Repository(":memory:")

@@ -237,9 +237,9 @@ def bench_wavefront_routing(quick: bool, repeats: int) -> Dict[str, object]:
 
     # The SequentialRouter loop: route_iteration_wavefront partitions each
     # iteration's wire list into independence classes and routes each
-    # wave as one fused evaluation with grouped rip-up/commit passes; the
-    # oracle runs the scalar per-wire loop over the same wires in the
-    # same order.
+    # wave with grouped rip-up/commit passes around per-wire fused
+    # evaluations; the oracle runs the scalar per-wire loop over the same
+    # wires in the same order.
     circuit = quick_circuit("bnrE", True)
     iterations = 2 if quick else 4
 

@@ -10,7 +10,7 @@ router and the update protocols need:
 
 - apply / remove a routed path (vectorised scatter-add on flat indices);
 - candidate evaluation helpers (row prefix sums, column range sums) used by
-  the two-bend router;
+  the per-segment two-bend oracle;
 - region extraction / replacement for update packets;
 - quality metrics hooks (per-channel maxima for circuit height).
 
@@ -36,11 +36,6 @@ from .bbox import BBox
 
 __all__ = ["CostArray"]
 
-#: Marker stored in ``_row_valid`` by :meth:`CostArray.wrap`: the backing
-#: buffer is shared with other processes, so the prefix cache (whose
-#: invalidation only sees local writes) must stay off.
-_WRAPPED = object()
-
 
 class CostArray:
     """Wire-occupancy counts over the routing grid.
@@ -53,16 +48,7 @@ class CostArray:
         Optional initial contents (copied); must match the dimensions.
     """
 
-    __slots__ = (
-        "n_channels",
-        "n_grids",
-        "_data",
-        "_cache_on",
-        "_row_prefix_tab",
-        "_row_valid",
-        "_col_prefix_tab",
-        "_col_valid",
-    )
+    __slots__ = ("n_channels", "n_grids", "_data")
 
     def __init__(
         self,
@@ -82,11 +68,6 @@ class CostArray:
                     f"data shape {data.shape} != ({n_channels}, {n_grids})"
                 )
             self._data = np.array(data, dtype=np.int32, copy=True)
-        self._cache_on = False
-        self._row_prefix_tab: Optional[np.ndarray] = None
-        self._row_valid: Optional[np.ndarray] = None
-        self._col_prefix_tab: Optional[np.ndarray] = None
-        self._col_valid = False
 
     # ------------------------------------------------------------------
     # basic access
@@ -116,10 +97,8 @@ class CostArray:
         for readers, paper §3).
 
         The buffer must be a C-contiguous ``int32`` array of shape
-        ``(n_channels, n_grids)``.  Because other processes mutate the
-        buffer behind this object's back, a wrapped array must never
-        :meth:`enable_prefix_cache` — invalidation hooks only see local
-        writes.  :meth:`enable_prefix_cache` raises on a wrapped array.
+        ``(n_channels, n_grids)``.  Nothing is cached from the buffer, so
+        writes by other processes need no notification.
         """
         if not isinstance(data, np.ndarray) or data.ndim != 2:
             raise GridError("wrap needs a 2-D numpy array")
@@ -134,14 +113,6 @@ class CostArray:
         self.n_channels = n_channels
         self.n_grids = n_grids
         self._data = data
-        self._cache_on = False
-        self._row_prefix_tab = None
-        # ``_row_valid is None`` marks a cache-capable array; a wrapped
-        # array reuses the slot as a shared-buffer marker (ndarray, never
-        # None) so enable_prefix_cache can refuse it.
-        self._row_valid = _WRAPPED
-        self._col_prefix_tab = None
-        self._col_valid = False
         return self
 
     def __getitem__(self, key):  # noqa: ANN001 - numpy fancy indexing passthrough
@@ -170,8 +141,6 @@ class CostArray:
             return
         flat = self._data.reshape(-1)
         flat[flat_cells] += delta
-        if self._cache_on:
-            self._invalidate_cells(flat_cells)
 
     def remove_path(
         self, flat_cells: np.ndarray, delta: int = 1, strict: bool = True
@@ -190,8 +159,6 @@ class CostArray:
         if strict and np.any(flat[flat_cells] < delta):
             raise GridError("rip-up would drive a cost array entry negative")
         flat[flat_cells] -= delta
-        if self._cache_on:
-            self._invalidate_cells(flat_cells)
 
     def path_cost(self, flat_cells: np.ndarray) -> int:
         """Sum of entries over a set of cells (the path's routing cost)."""
@@ -200,96 +167,18 @@ class CostArray:
         return int(self._data.reshape(-1)[flat_cells].sum())
 
     # ------------------------------------------------------------------
-    # candidate evaluation helpers (vectorised two-bend router)
+    # candidate evaluation helpers (per-segment two-bend oracle)
     # ------------------------------------------------------------------
-    def enable_prefix_cache(self) -> None:
-        """Keep prefix-sum tables alive across calls, with write invalidation.
-
-        Once enabled, :meth:`row_prefix` and :meth:`col_prefix_table`
-        results are cached and reused until a mutation through
-        :meth:`apply_path` / :meth:`remove_path` / :meth:`accumulate` /
-        :meth:`replace` dirties the rows they cover — which is how the
-        vectorised router shares one set of tables across all segments of
-        a wire *and* across consecutive wires between commits.
-
-        Mutating ``self.data`` directly bypasses the invalidation hooks
-        and leaves the cache stale; callers that write through ``data``
-        must not enable the cache.  Idempotent.
-        """
-        if self._cache_on:
-            return
-        if self._row_valid is _WRAPPED:
-            raise GridError(
-                "cannot enable the prefix cache on a wrapped shared buffer: "
-                "remote writes bypass the invalidation hooks"
-            )
-        self._cache_on = True
-        self._row_prefix_tab = np.zeros(
-            (self.n_channels, self.n_grids + 1), dtype=np.int64
-        )
-        self._row_valid = np.zeros(self.n_channels, dtype=bool)
-        self._col_prefix_tab = np.zeros(
-            (self.n_channels + 1, self.n_grids), dtype=np.int64
-        )
-        self._col_valid = False
-
-    def _invalidate_cells(self, flat_cells: np.ndarray) -> None:
-        """Dirty the cache rows covering *flat_cells* (conservative range).
-
-        Flat index // n_grids is monotonic, so the channel range follows
-        from the extreme flat indices without materialising a quotient
-        array.
-        """
-        c_lo = int(flat_cells.min()) // self.n_grids
-        c_hi = int(flat_cells.max()) // self.n_grids
-        self._row_valid[c_lo : c_hi + 1] = False
-        self._col_valid = False
-
-    def _invalidate_rows(self, c_lo: int, c_hi: int) -> None:
-        """Dirty the cache rows ``c_lo..c_hi`` inclusive."""
-        self._row_valid[c_lo : c_hi + 1] = False
-        self._col_valid = False
-
     def row_prefix(self, channel: int) -> np.ndarray:
         """Exclusive prefix sums of one channel row.
 
         ``row_prefix(c)[x]`` is the sum of entries ``(c, 0..x-1)``; the
         returned array has length ``n_grids + 1``, so the inclusive range
         sum over columns ``[a..b]`` is ``p[b+1] - p[a]``.
-
-        With :meth:`enable_prefix_cache` the returned array is a live row
-        of the cache table — treat it as read-only.
         """
-        if self._cache_on:
-            row = self._row_prefix_tab[channel]
-            if not self._row_valid[channel]:
-                np.cumsum(self._data[channel], out=row[1:])
-                self._row_valid[channel] = True
-            return row
         p = np.zeros(self.n_grids + 1, dtype=np.int64)
         np.cumsum(self._data[channel], out=p[1:])
         return p
-
-    def col_prefix_table(self) -> np.ndarray:
-        """Exclusive down-the-channels prefix sums, shape ``(C + 1, G)``.
-
-        ``col_prefix_table()[c, x]`` is the sum of entries
-        ``(0..c-1, x)``, so the inclusive channel-range sum at column
-        ``x`` is ``t[b+1, x] - t[a, x]`` — the vertical-run price of a
-        candidate bend column in one gather.  Cached (treat as read-only)
-        when the prefix cache is enabled.
-        """
-        if self._cache_on:
-            if not self._col_valid:
-                np.cumsum(
-                    self._data, axis=0, dtype=np.int64,
-                    out=self._col_prefix_tab[1:],
-                )
-                self._col_valid = True
-            return self._col_prefix_tab
-        t = np.zeros((self.n_channels + 1, self.n_grids), dtype=np.int64)
-        np.cumsum(self._data, axis=0, dtype=np.int64, out=t[1:])
-        return t
 
     def column_range_sums(
         self, c_lo: int, c_hi: int, x_lo: int, x_hi: int
@@ -303,38 +192,6 @@ class CostArray:
             return np.zeros(x_hi - x_lo + 1, dtype=np.int64)
         block = self._data[c_lo : c_hi + 1, x_lo : x_hi + 1]
         return block.sum(axis=0, dtype=np.int64)
-
-    def block_prefix_tables(
-        self, c_lo: int, c_hi: int, x_lo: int, x_hi: int, need_col: bool = True
-    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-        """Exclusive prefix-sum tables over an inclusive bbox of entries.
-
-        Returns ``(rowp, colp)`` for the block of rows ``c_lo..c_hi`` and
-        columns ``x_lo..x_hi``:
-
-        - ``rowp`` has shape ``(rows, width + 1)``; ``rowp[r, k]`` is the
-          sum of the first ``k`` entries of block row ``r``, so a row's
-          inclusive column-range sum is ``rowp[r, b+1] - rowp[r, a]``;
-        - ``colp`` has shape ``(rows + 1, width)``; ``colp[k, x]`` is the
-          sum of the first ``k`` entries of block column ``x``, so a
-          column's inclusive row-range sum is ``colp[b+1, x] - colp[a, x]``.
-
-        One pair of tables prices every two-bend candidate of every segment
-        of a wire whose pins lie inside the bbox — the per-route shared
-        table the vectorised router builds once per :func:`route_wire`.
-        ``need_col=False`` skips the column table (returned as ``None``)
-        for callers whose segments never cross an interior channel.
-        """
-        self._check_box(BBox(c_lo, x_lo, c_hi, x_hi))
-        block = self._data[c_lo : c_hi + 1, x_lo : x_hi + 1]
-        rows, width = block.shape
-        rowp = np.zeros((rows, width + 1), dtype=np.int64)
-        np.cumsum(block, axis=1, dtype=np.int64, out=rowp[:, 1:])
-        if not need_col:
-            return rowp, None
-        colp = np.zeros((rows + 1, width), dtype=np.int64)
-        np.cumsum(block, axis=0, dtype=np.int64, out=colp[1:, :])
-        return rowp, colp
 
     # ------------------------------------------------------------------
     # regions / update support
@@ -353,8 +210,6 @@ class CostArray:
             )
         rows, cols = box.slices()
         self._data[rows, cols] = values
-        if self._cache_on:
-            self._invalidate_rows(box.c_lo, box.c_hi)
 
     def accumulate(self, box: BBox, deltas: np.ndarray) -> None:
         """Add relative *deltas* into a bbox (receiving SendRmtData)."""
@@ -365,8 +220,6 @@ class CostArray:
             )
         rows, cols = box.slices()
         self._data[rows, cols] += deltas
-        if self._cache_on:
-            self._invalidate_rows(box.c_lo, box.c_hi)
 
     def channel_maxima(self) -> np.ndarray:
         """Per-channel maximum occupancy — the routing tracks each channel

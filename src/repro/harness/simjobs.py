@@ -27,6 +27,7 @@ and writes every row.
 
 from __future__ import annotations
 
+import multiprocessing
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
@@ -155,13 +156,19 @@ def _run_sim_config_in_worker(
 ) -> Tuple[ParallelRunResult, Dict[str, object]]:
     """Pool-worker wrapper: run one config and report its telemetry.
 
-    The worker's global telemetry is reset first (fork-started workers
-    inherit the parent's counters, which the parent already owns), so
-    the returned snapshot is exactly this task's delta.
+    In a pool worker the global telemetry is reset first (fork-started
+    workers inherit the parent's counters, which the parent already
+    owns), so the returned snapshot is exactly this task's delta.  When
+    ``pool_map`` retries a failed row serially in the parent, the run's
+    increments land in the parent's own telemetry, so resetting would
+    wipe the parent's counters and merging would double-count — an
+    empty snapshot is returned instead.
     """
-    obs.reset()
+    in_worker = multiprocessing.parent_process() is not None
+    if in_worker:
+        obs.reset()
     result = run_sim_config(config)
-    return result, obs.snapshot()
+    return result, obs.snapshot() if in_worker else {}
 
 
 def run_sim_config(config: SimConfig) -> ParallelRunResult:

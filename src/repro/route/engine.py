@@ -93,8 +93,8 @@ class SequentialRouter:
 
         for iteration in range(self.iterations):
             # Batched wave-front routing: partitions this iteration's wires
-            # into independence classes and routes each class in one fused
-            # evaluation.  Bit-identical to route_iteration_reference
+            # into independence classes and routes each class with one
+            # grouped rip-up and one grouped commit.  Bit-identical to route_iteration_reference
             # (locusroute verify replays both).
             occupancy, work = route_iteration_wavefront(
                 cost, circuit, order, paths, tie_break=iteration % 2

@@ -16,9 +16,9 @@ iteration greedily partitions the pending wires, in visit order, into
 fused step:
 
 1. rip up every wave member's old path in one grouped ``remove_path``;
-2. build one pair of block prefix tables over the wave's row band and
-   price *every candidate of every segment of every wire* in stacked
-   array arithmetic (:func:`_evaluate`);
+2. price each member against the ripped-up array with the per-wire fused
+   evaluator (:func:`_evaluate_single`: one flat prefix buffer over the
+   wire's own bbox, one gather for every candidate of every segment);
 3. reconstruct each wire's path, price it, and commit the whole wave in
    one grouped ``apply_path``.
 
@@ -71,30 +71,17 @@ class WireGeometry:
     """Routing-invariant geometry of one wire, precomputed once.
 
     Everything here depends only on the wire's pins and the grid width —
-    candidate columns, read boxes, work accounting — so it is computed
-    once per ``(wire, n_grids)`` and cached on the wire object.  The cost
-    array never enters; evaluation against a concrete array is
-    :func:`_evaluate`.
+    candidate columns, the flat gather layout, path templates, work
+    accounting — so it is computed once per ``(wire, n_grids)`` and
+    cached on the wire object.  The cost array never enters; evaluation
+    against a concrete array is :func:`_evaluate_single`.
     """
 
     __slots__ = (
         "seg_is_bend",
-        "segs",
-        "seg_work",
-        "read_boxes",
         "n_bend",
-        "b_c1",
-        "b_x1",
-        "b_c2",
-        "b_x2",
-        "b_clo",
-        "b_chi",
         "b_cand",
-        "b_valid",
-        "b_candidates",
-        "s_c",
         "s_x1",
-        "s_x2",
         "work_cells",
         "bbox",
         "needs_col",
@@ -115,40 +102,36 @@ class WireGeometry:
 
     def __init__(self, wire: Wire, n_grids: int) -> None:
         seg_is_bend: List[bool] = []
-        segs: List[Tuple[int, int, int, int]] = []
-        seg_work: List[int] = []
-        read_boxes: List[BBox] = []
         bend_rows: List[Tuple[int, int, int, int, int, int]] = []
         b_candidates: List[np.ndarray] = []
-        s_c: List[int] = []
-        s_x1: List[int] = []
-        s_x2: List[int] = []
-        work = 0
-
+        straight_rows: List[Tuple[int, int, int]] = []
         seg_tmpl: List[Tuple] = []
+        # SegmentRoute prototypes: everything but xv/cost is static, so
+        # route_wire_fused fills instances from these dicts instead of
+        # paying the dataclass constructor per segment per reroute.
+        seg_proto: List[Dict[str, object]] = []
+        box = None
+        work = 0
         for a, b in wire.segments():
             x1, c1 = a.x, a.channel
             x2, c2 = b.x, b.channel
             span = x2 - x1
             xs = np.arange(x1, x2 + 1, dtype=np.int64)
             if c1 == c2:
-                seg_is_bend.append(False)
-                s_c.append(c1)
-                s_x1.append(x1)
-                s_x2.append(x2)
+                straight_rows.append((c1, x1, x2))
+                cand = _EMPTY
                 w = span + 1
-                box = BBox(c1, x1, c1, x2)
+                seg_box = BBox(c1, x1, c1, x2)
                 # A straight run's cells never depend on the cost array.
                 seg_tmpl.append((c1 * n_grids + xs,))
             else:
                 c_lo, c_hi = (c1, c2) if c1 <= c2 else (c2, c1)
                 cand = _candidate_columns(x1, x2)
                 n_interior = max(0, c_hi - c_lo - 1)
-                seg_is_bend.append(True)
                 bend_rows.append((c1, x1, c2, x2, c_lo, c_hi))
                 b_candidates.append(cand)
                 w = int(cand.size) * (span + 2 + n_interior)
-                box = BBox(c_lo, x1, c_hi, x2)
+                seg_box = BBox(c_lo, x1, c_hi, x2)
                 # Path builder slices these at the chosen bend column:
                 # low-channel run, interior column cells, high-channel run.
                 seg_tmpl.append(
@@ -160,48 +143,38 @@ class WireGeometry:
                         c1 <= c2,
                     )
                 )
-            segs.append((c1, x1, c2, x2))
-            seg_work.append(w)
-            read_boxes.append(box)
+            seg_is_bend.append(c1 != c2)
+            seg_proto.append(
+                {
+                    "xv": 0,
+                    "cost": 0,
+                    "work_cells": w,
+                    "read_box": seg_box,
+                    "c1": c1,
+                    "x1": x1,
+                    "c2": c2,
+                    "x2": x2,
+                    "candidates": cand,
+                }
+            )
+            box = seg_box if box is None else box.union(seg_box)
             work += w
         self.seg_tmpl = seg_tmpl
-        # SegmentRoute prototypes: everything but xv/cost is static, so
-        # route_wire_fused fills instances from these dicts instead of
-        # paying the dataclass constructor per segment per reroute.
-        self.seg_proto = [
-            {
-                "xv": 0,
-                "cost": 0,
-                "work_cells": seg_work[k],
-                "read_box": read_boxes[k],
-                "c1": segs[k][0],
-                "x1": segs[k][1],
-                "c2": segs[k][2],
-                "x2": segs[k][3],
-                "candidates": b_candidates[sum(seg_is_bend[:k])]
-                if seg_is_bend[k]
-                else _EMPTY,
-            }
-            for k in range(len(segs))
-        ]
-
+        self.seg_proto = seg_proto
         self.seg_is_bend = seg_is_bend
-        self.segs = segs
-        self.seg_work = seg_work
-        self.read_boxes = read_boxes
-        self.b_candidates = b_candidates
         self.work_cells = work
+        self.bbox = box.as_tuple()
+        # Every segment's path spans its full x-range whatever bend column
+        # wins, so any realized path's bbox IS the geometry bbox; the path
+        # builder stamps this on trusted paths to skip the lazy recompute.
+        self.bbox_obj = box
 
         n_bend = len(bend_rows)
         self.n_bend = n_bend
         if n_bend:
-            arr = np.array(bend_rows, dtype=np.int64)
-            self.b_c1 = arr[:, 0]
-            self.b_x1 = arr[:, 1]
-            self.b_c2 = arr[:, 2]
-            self.b_x2 = arr[:, 3]
-            self.b_clo = arr[:, 4]
-            self.b_chi = arr[:, 5]
+            b_c1, b_x1, b_c2, b_x2, b_clo, b_chi = np.array(
+                bend_rows, dtype=np.int64
+            ).T
             # Pad only to this wire's widest candidate row, not the global
             # MAX_CANDIDATES — short segments price narrow rows.
             width = max(cand.size for cand in b_candidates)
@@ -213,42 +186,24 @@ class WireGeometry:
                 cand_tab[i, k:] = cand[0]  # padding never wins (cost forced to _INF)
                 valid[i, :k] = True
             self.b_cand = cand_tab
-            self.b_valid = valid
         else:
-            self.b_c1 = self.b_x1 = self.b_c2 = self.b_x2 = _EMPTY
-            self.b_clo = self.b_chi = _EMPTY
             self.b_cand = np.empty((0, 1), dtype=np.int64)
-            self.b_valid = np.zeros((0, 1), dtype=bool)
+        # A straight run's chosen "bend" column is always its left pin.
+        self.s_x1 = tuple(int(x1) for _, x1, _ in straight_rows)
 
-        if s_c:
-            self.s_c = np.array(s_c, dtype=np.int64)
-            self.s_x1 = np.array(s_x1, dtype=np.int64)
-            self.s_x2 = np.array(s_x2, dtype=np.int64)
-        else:
-            self.s_c = self.s_x1 = self.s_x2 = _EMPTY
-
-        box = read_boxes[0]
-        for other in read_boxes[1:]:
-            box = box.union(other)
-        self.bbox = box.as_tuple()
-        # Every segment's path spans its full x-range whatever bend column
-        # wins, so any realized path's bbox IS the geometry bbox; the path
-        # builder stamps this on trusted paths to skip the lazy recompute.
-        self.bbox_obj = box
-
-        # One-wire fast-path layout: the evaluator builds both prefix
-        # tables in a single flat buffer over exactly this wire's bbox,
-        # then prices everything with ONE precomputed (2, K) flat gather
-        # — row 0 holds every "+" prefix term, row 1 every "-" term, so
+        # Flat-buffer layout: the evaluator builds both prefix tables in a
+        # single flat buffer over exactly this wire's bbox, then prices
+        # everything with ONE precomputed (2, K) flat gather — row 0 holds
+        # every "+" prefix term, row 1 every "-" term, so
         # ``diff = gather[0] - gather[1]`` yields, in order, the H1-H2
         # candidate matrix, the interior (V) matrix, the per-bend
         # constant (H2 left end minus H1 left end), and the straight-run
         # costs.  Exact integer sums: regrouping the reference's
         # (H1 + H2 + V) into (matrix + const) is bit-identical.
         band_lo, x_lo = self.bbox[0], self.bbox[1]
-        self.needs_col = bool(n_bend) and bool(np.any(self.b_chi - self.b_clo > 1))
+        self.needs_col = bool(n_bend) and bool(np.any(b_chi - b_clo > 1))
         self.has_pad = bool(n_bend and not valid.all())
-        self.e_invalid = ~self.b_valid if self.has_pad else None
+        self.e_invalid = ~valid if self.has_pad else None
         self.e_rows = np.arange(n_bend)
         rows = self.bbox[2] - band_lo + 1
         width = self.bbox[3] - x_lo + 1
@@ -261,22 +216,23 @@ class WireGeometry:
         plus_parts: List[np.ndarray] = []
         minus_parts: List[np.ndarray] = []
         if n_bend:
-            r1 = self.b_c1 - band_lo
-            r2 = self.b_c2 - band_lo
+            r1 = b_c1 - band_lo
+            r2 = b_c2 - band_lo
             cand_rel = self.b_cand - x_lo
             plus_parts.append((r1[:, None] * stride + cand_rel + 1).ravel())
             minus_parts.append((r2[:, None] * stride + cand_rel).ravel())
             if self.needs_col:
-                chi = (self.b_chi - band_lo)[:, None]
-                clo = (self.b_clo + 1 - band_lo)[:, None]
+                chi = (b_chi - band_lo)[:, None]
+                clo = (b_clo + 1 - band_lo)[:, None]
                 plus_parts.append((self.rowp_size + chi * width + cand_rel).ravel())
                 minus_parts.append((self.rowp_size + clo * width + cand_rel).ravel())
-            plus_parts.append(r2 * stride + self.b_x2 + 1 - x_lo)
-            minus_parts.append(r1 * stride + self.b_x1 - x_lo)
-        if s_c:
-            sr = self.s_c - band_lo
-            plus_parts.append(sr * stride + self.s_x2 + 1 - x_lo)
-            minus_parts.append(sr * stride + self.s_x1 - x_lo)
+            plus_parts.append(r2 * stride + b_x2 + 1 - x_lo)
+            minus_parts.append(r1 * stride + b_x1 - x_lo)
+        if straight_rows:
+            s_c, s_x1, s_x2 = np.array(straight_rows, dtype=np.int64).T
+            sr = s_c - band_lo
+            plus_parts.append(sr * stride + s_x2 + 1 - x_lo)
+            minus_parts.append(sr * stride + s_x1 - x_lo)
         nbW = n_bend * self.b_cand.shape[1] if n_bend else 0
         self.const_off = (2 * nbW if self.needs_col else nbW)
         self.s_off = self.const_off + n_bend
@@ -364,126 +320,9 @@ def _evaluate_single(
             out.append((int(b_xv[b_off]), int(b_cost[b_off])))
             b_off += 1
         else:
-            out.append((int(g.s_x1[s_off]), int(s_cost[s_off])))
+            out.append((g.s_x1[s_off], int(s_cost[s_off])))
             s_off += 1
     return out
-
-
-def _evaluate(
-    cost: CostArray, geoms: Sequence[WireGeometry], tie_break: int
-) -> List[List[Tuple[int, int]]]:
-    """Price every segment of every geometry against *cost*, fused.
-
-    One :meth:`CostArray.block_prefix_tables` call over the union bbox
-    of all geometries serves every prefix difference; every bend
-    segment's full candidate row evaluates in one stacked expression.
-    Returns, per geometry, the chain-ordered list of ``(xv, cost)`` —
-    bit-identical to per-segment :func:`repro.route.twobend.route_segment`.
-    """
-    if len(geoms) == 1:
-        return [_evaluate_single(cost, geoms[0], tie_break)]
-
-    band_lo = min(g.bbox[0] for g in geoms)
-    band_hi = max(g.bbox[2] for g in geoms)
-    x_lo = min(g.bbox[1] for g in geoms)
-    x_hi = max(g.bbox[3] for g in geoms)
-    need_col = any(g.needs_col for g in geoms)
-    # Density dispatch.  Wave members are pairwise disjoint, so whenever
-    # the wave is spread out its union bbox is mostly gap — and the
-    # shared tables below pay a cumsum over every gap cell.  The shared
-    # sweep only beats per-wire evaluation when the wires tile most of
-    # the band; below that density, price each wire against its own
-    # bbox tables (still one fused gather per wire, and exactly the
-    # same arithmetic, so the choice never changes a routed cell).
-    union_cells = (2 if need_col else 1) * (band_hi - band_lo + 1) * (
-        x_hi - x_lo + 1
-    )
-    if union_cells > 2 * sum(g.buf_size for g in geoms):
-        return [_evaluate_single(cost, g, tie_break) for g in geoms]
-    rowp, colp = cost.block_prefix_tables(
-        band_lo, band_hi, x_lo, x_hi, need_col
-    )
-
-    n_bend = sum(g.n_bend for g in geoms)
-    if n_bend:
-        b_c1 = np.concatenate([g.b_c1 for g in geoms])
-        b_x1 = np.concatenate([g.b_x1 for g in geoms])
-        b_c2 = np.concatenate([g.b_c2 for g in geoms])
-        b_x2 = np.concatenate([g.b_x2 for g in geoms])
-        b_clo = np.concatenate([g.b_clo for g in geoms])
-        b_chi = np.concatenate([g.b_chi for g in geoms])
-        # Candidate rows are padded per wire to that wire's widest
-        # segment; re-pad to the wave's widest row (padding repeats the
-        # row's first candidate and is masked to _INF below).
-        width = max(g.b_cand.shape[1] for g in geoms if g.n_bend)
-        b_cand = np.empty((n_bend, width), dtype=np.int64)
-        b_valid = np.zeros((n_bend, width), dtype=bool)
-        row = 0
-        for g in geoms:
-            nb = g.n_bend
-            if not nb:
-                continue
-            w = g.b_cand.shape[1]
-            b_cand[row : row + nb, :w] = g.b_cand
-            if w < width:
-                b_cand[row : row + nb, w:] = g.b_cand[:, :1]
-            b_valid[row : row + nb, :w] = g.b_valid
-            row += nb
-
-        r1 = b_c1 - band_lo
-        r2 = b_c2 - band_lo
-        cand = b_cand - x_lo
-        # H1: channel c1, columns x1..xv inclusive, for every candidate xv.
-        h1 = rowp[r1[:, None], cand + 1] - rowp[r1, b_x1 - x_lo][:, None]
-        # H2: channel c2, columns xv..x2 inclusive.
-        h2 = rowp[r2, b_x2 + 1 - x_lo][:, None] - rowp[r2[:, None], cand]
-        totals = h1 + h2
-        if need_col:
-            # V: strictly interior channels c_lo+1..c_hi-1 at column xv.
-            # Skipped when every bend spans adjacent channels (the
-            # reference adds an exact zero there, so the sum is
-            # bit-identical either way).
-            totals += (
-                colp[(b_chi - band_lo)[:, None], cand]
-                - colp[(b_clo + 1 - band_lo)[:, None], cand]
-            )
-        totals[~b_valid] = _INF
-        if tie_break == 0:
-            best = np.argmin(totals, axis=1)  # first minimum: smallest xv
-        else:
-            # Last minimum: padded slots sit at _INF, so the reversed
-            # argmin lands on the last *real* minimum, exactly the
-            # reference's totals[::-1] scan.
-            best = totals.shape[1] - 1 - np.argmin(totals[:, ::-1], axis=1)
-        rows = np.arange(best.size)
-        b_xv = b_cand[rows, best]
-        b_cost = totals[rows, best]
-    else:
-        b_xv = b_cost = _EMPTY
-
-    s_c = np.concatenate([g.s_c for g in geoms])
-    s_x1 = np.concatenate([g.s_x1 for g in geoms])
-    s_x2 = np.concatenate([g.s_x2 for g in geoms])
-    if s_c.size:
-        sr = s_c - band_lo
-        s_cost = rowp[sr, s_x2 + 1 - x_lo] - rowp[sr, s_x1 - x_lo]
-    else:
-        s_cost = _EMPTY
-
-    results: List[List[Tuple[int, int]]] = []
-    b_off = 0
-    s_off = 0
-    for g in geoms:
-        out: List[Tuple[int, int]] = []
-        for is_bend in g.seg_is_bend:
-            if is_bend:
-                out.append((int(b_xv[b_off]), int(b_cost[b_off])))
-                b_off += 1
-            else:
-                out.append((int(s_x1[s_off]), int(s_cost[s_off])))
-                s_off += 1
-        results.append(out)
-    return results
 
 
 def _build_path(geom: WireGeometry, xvs: Sequence[int], n_grids: int) -> RoutePath:
@@ -542,9 +381,10 @@ def route_wire_fused(cost: CostArray, wire: Wire, tie_break: int = 0) -> WireRou
     """Route every segment of *wire* against *cost* and union the cells.
 
     The production evaluator, exported as
-    :func:`repro.route.twobend.route_wire`: a one-wire wave, where one
-    :meth:`CostArray.block_prefix_tables` call prices every candidate of
-    every segment in stacked array arithmetic.
+    :func:`repro.route.twobend.route_wire`: the wire's cached
+    :class:`WireGeometry` is priced by :func:`_evaluate_single`, which
+    fills one flat prefix buffer over the wire's bbox and fetches every
+    candidate of every segment in one gather.
 
     The cost array is *not* modified; callers decide when to commit the
     path (sequential router: immediately; parallel simulators: at the
@@ -670,11 +510,6 @@ def plan_waves_reference(
 #: hit rate while bounding memory on runs that keep permuting the order.
 WAVE_CACHE_MAX_ORDERS = 8
 
-#: Below this many wires the quadratic recurrence's tight numpy loop
-#: beats the grid index's setup cost; the dispatch is safe because
-#: both planners are bit-identical.
-_INDEX_MIN_WIRES = 96
-
 #: Coarse-layer bucket width (power of two for shift indexing): each
 #: coarse slot holds the max over 64 fine cells, so wide footprints
 #: query/update O(span/64) coarse slots plus two boundary fine slices.
@@ -718,10 +553,8 @@ def plan_waves(
     ``best`` reaches the global maximum wave.  Both leave ``best`` >=
     every cell under the rectangle, which is all overwrite needs.
     """
-    n = len(order)
-    if n < _INDEX_MIN_WIRES:
-        return plan_waves_reference(order, footprints)
-
+    if not len(order):
+        return []
     boxes = [footprints[idx] for idx in order]
     clos, xlos, chis, xhis = zip(*boxes)
     cmin = min(clos)
@@ -733,7 +566,8 @@ def plan_waves(
         # Inverted boxes have no grid-cell representation but still
         # overlap things under the recurrence's interval tests; keep
         # bit-identity by handing them to the oracle.  Likewise
-        # pathological coordinates (memory guard above).
+        # pathological coordinates (memory guard above).  Real wire
+        # geometry boxes never take this branch.
         or any(a > b for a, b in zip(clos, chis))
         or any(a > b for a, b in zip(xlos, xhis))
     ):
@@ -1070,21 +904,19 @@ def route_iteration_wavefront(
     occupancy = 0
     work = 0
     for wave in waves:
-        wave_geoms = [geoms[i] for i in wave]
-
         old_parts = [paths[i].flat_cells for i in wave if i in paths]
         if old_parts:
             # Disjoint footprints: one grouped rip-up == per-wire rip-ups.
             cost.remove_path(np.concatenate(old_parts))
 
-        per_wire = _evaluate(cost, wave_geoms, tie_break)
-
         new_cells: List[np.ndarray] = []
-        for idx, geom, res in zip(wave, wave_geoms, per_wire):
+        for idx in wave:
+            geom = geoms[idx]
+            # Evaluate and price before the grouped commit: no other wave
+            # member's cells intersect this wire's box, so both equal the
+            # sequential values taken right after this wire's own rip-up.
+            res = _evaluate_single(cost, geom, tie_break)
             path = _build_path(geom, [xv for xv, _ in res], n_grids)
-            # Price before the grouped commit: no other wave member's
-            # cells intersect this path, so this equals the sequential
-            # price taken right after this wire's own rip-up.
             occupancy += cost.path_cost(path.flat_cells)
             work += geom.work_cells
             paths[idx] = path

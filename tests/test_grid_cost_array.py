@@ -34,6 +34,33 @@ class TestConstruction:
             CostArray(3, 10, np.zeros((2, 10), dtype=np.int32))
 
 
+class TestWrap:
+    def test_writes_alias_both_ways(self):
+        buf = np.zeros((3, 10), dtype=np.int32)
+        cost = CostArray.wrap(buf)
+        assert cost.shape == (3, 10) and cost.data is buf
+        cost.apply_path(flat([(1, 4)]))
+        assert buf[1, 4] == 1
+        buf[2, 7] = 5
+        assert cost[2, 7] == 5
+        assert cost.path_cost(flat([(1, 4), (2, 7)])) == 6
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            pytest.param(np.zeros((3, 10), dtype=np.float64), id="float"),
+            pytest.param(np.zeros(10, dtype=np.int32), id="1-D"),
+            pytest.param(
+                np.zeros((3, 20), dtype=np.int32)[:, ::2], id="non-contiguous"
+            ),
+            pytest.param(np.zeros((0, 10), dtype=np.int32), id="zero-size"),
+        ],
+    )
+    def test_bad_buffer_rejected(self, data):
+        with pytest.raises(GridError):
+            CostArray.wrap(data)
+
+
 class TestPaths:
     def test_apply_and_remove_inverse(self):
         cost = CostArray(3, 10)

@@ -16,6 +16,7 @@ from repro.harness.fingerprint import code_fingerprint, jsonify, stable_hash
 from repro.harness.runner import atomic_write_text
 from repro.harness.simjobs import (
     SimConfig,
+    _run_sim_config_in_worker,
     run_sim_configs,
     sim_fingerprint,
     sim_key,
@@ -283,3 +284,19 @@ class TestCachedSimRows:
         run_sim_configs([config], store=store)  # stores the row
         cached = run_sim_configs([config], store=store)[0]  # reads it back
         assert plain.table_row() == cached.table_row()
+
+
+class TestWorkerTelemetry:
+    def test_in_process_call_keeps_parent_telemetry(self):
+        """A serial retry runs the pool wrapper in the parent process.
+
+        It must neither wipe the parent's counters nor hand them back
+        for a second merge: the row counts exactly once.
+        """
+        obs.incr("cache.sim.hits", 5)
+        before = obs.snapshot()["counters"]
+        _result, snap = _run_sim_config_in_worker(tiny_mp_config())
+        obs.get_telemetry().merge(snap)
+        after = obs.snapshot()["counters"]
+        assert after.get("cache.sim.hits", 0) == before["cache.sim.hits"]
+        assert after.get("sim.mp.runs", 0) == before.get("sim.mp.runs", 0) + 1

@@ -1,6 +1,6 @@
 """Equivalence tests for the fused two-bend routing kernel.
 
-Contract: :func:`route_wire` (one block prefix-table build per wire) is
+Contract: :func:`route_wire` (one flat prefix buffer per wire) is
 bit-identical to :func:`route_wire_reference` (the per-segment oracle) —
 same chosen columns, same paths, same costs — for every wire, tie break,
 and any interleaving of cost-array mutations.
@@ -94,7 +94,7 @@ class TestEquivalenceUnderMutation:
                 vec_cost.apply_path(vec.path.flat_cells)
                 ref_paths[i], vec_paths[i] = ref.path, vec.path
                 # Remote-update traffic dirties a random box between
-                # routes, exercising accumulate/replace invalidation.
+                # routes, so later routes read accumulated contents.
                 if rng.random() < 0.4:
                     c0 = rng.randrange(N_CHANNELS - 1)
                     x0 = rng.randrange(N_GRIDS - 2)
@@ -107,7 +107,7 @@ class TestEquivalenceUnderMutation:
     def test_replace_invalidates_cached_rows(self):
         cost = CostArray(N_CHANNELS, N_GRIDS)
         wire = Wire("w", [Pin(1, 0), Pin(22, 7)])
-        route_wire(cost, wire)  # warm the prefix cache
+        route_wire(cost, wire)  # route once on the old contents
         box = BBox(0, 0, N_CHANNELS - 1, N_GRIDS - 1)
         values = np.arange(N_CHANNELS * N_GRIDS, dtype=np.int64).reshape(
             N_CHANNELS, N_GRIDS
@@ -117,39 +117,4 @@ class TestEquivalenceUnderMutation:
         assert_same_route(
             route_wire_reference(fresh, wire), route_wire(cost, wire)
         )
-
-    def test_row_prefix_matches_recompute_after_mutations(self):
-        cost = CostArray(N_CHANNELS, N_GRIDS)
-        cost.enable_prefix_cache()
-        for channel in range(N_CHANNELS):
-            cost.row_prefix(channel)  # populate every cached row
-        path = np.array([1 * N_GRIDS + 3, 1 * N_GRIDS + 4, 2 * N_GRIDS + 4])
-        cost.apply_path(path)
-        for channel in range(N_CHANNELS):
-            expected = np.zeros(N_GRIDS + 1, dtype=np.int64)
-            np.cumsum(cost.data[channel], out=expected[1:])
-            assert np.array_equal(cost.row_prefix(channel), expected)
-
-
-class TestBlockPrefixTables:
-    @settings(max_examples=60, deadline=None)
-    @given(
-        cost_grid,
-        st.integers(min_value=0, max_value=N_CHANNELS - 1),
-        st.integers(min_value=0, max_value=N_CHANNELS - 1),
-        st.integers(min_value=0, max_value=N_GRIDS - 1),
-        st.integers(min_value=0, max_value=N_GRIDS - 1),
-    )
-    def test_rectangle_sums(self, grid, c0, c1, x0, x1):
-        c_lo, c_hi = min(c0, c1), max(c0, c1)
-        x_lo, x_hi = min(x0, x1), max(x0, x1)
-        data = np.array(grid, dtype=np.int64).reshape(N_CHANNELS, N_GRIDS)
-        cost = CostArray(N_CHANNELS, N_GRIDS, data=data.copy())
-        rowp, colp = cost.block_prefix_tables(c_lo, c_hi, x_lo, x_hi)
-        block = data[c_lo : c_hi + 1, x_lo : x_hi + 1]
-        rows, width = block.shape
-        for r in range(rows):
-            assert rowp[r, width] - rowp[r, 0] == block[r].sum()
-        for x in range(width):
-            assert colp[rows, x] - colp[0, x] == block[:, x].sum()
 

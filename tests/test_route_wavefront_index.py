@@ -8,7 +8,8 @@ including degenerate all-overlapping stacks (everything serializes into
 size-1 waves), all-disjoint layouts (one wave), inverted boxes (defined
 only by the recurrence's interval tests; the index must defer), and
 giant footprints spanning the whole grid (exercising the lazy/coarse
-slot layers).
+slot layers).  Input sizes run from an empty order up, so the small
+inputs take the same index path as large ones.
 """
 
 from __future__ import annotations
@@ -19,14 +20,12 @@ from hypothesis import strategies as st
 
 from repro.route.wavefront import (
     WAVE_CACHE_MAX_ORDERS,
-    _INDEX_MIN_WIRES,
     plan_waves,
     plan_waves_reference,
 )
 
-# Everything here runs above the small-input cutoff so the indexed code
-# path (not the reference fallback) is what's exercised.
-N_WIRES = max(_INDEX_MIN_WIRES, 96) + 32
+#: Largest drawn input and the size of the fixed-layout cases.
+N_WIRES = 128
 
 
 def footprint_strategy(allow_inverted: bool):
@@ -50,17 +49,19 @@ def footprint_strategy(allow_inverted: bool):
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), allow_inverted=st.booleans())
 def test_index_matches_recurrence(data, allow_inverted):
+    n = data.draw(st.integers(min_value=0, max_value=N_WIRES), label="n")
     footprints = {
         i: data.draw(footprint_strategy(allow_inverted), label=f"fp{i}")
-        for i in range(N_WIRES)
+        for i in range(n)
     }
-    order = data.draw(st.permutations(list(range(N_WIRES))))
+    order = data.draw(st.permutations(list(range(n))))
     assert plan_waves(order, footprints) == plan_waves_reference(order, footprints)
 
 
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_index_matches_recurrence_partial_orders(data):
+    n = data.draw(st.integers(min_value=0, max_value=N_WIRES), label="n")
     footprints = {
         i: data.draw(footprint_strategy(False), label=f"fp{i}")
         for i in range(N_WIRES * 2)
@@ -68,8 +69,8 @@ def test_index_matches_recurrence_partial_orders(data):
     subset = data.draw(
         st.lists(
             st.sampled_from(list(range(N_WIRES * 2))),
-            min_size=N_WIRES,
-            max_size=N_WIRES,
+            min_size=n,
+            max_size=n,
             unique=True,
         )
     )
@@ -105,6 +106,8 @@ def test_giant_and_tiny_mixture():
 
 
 def test_small_inputs_fall_back_to_reference():
+    # Small inputs, the empty order included, go through the index too.
+    assert plan_waves([], {}) == plan_waves_reference([], {}) == []
     footprints = {i: (0, i, 0, i + 1) for i in range(4)}
     assert plan_waves([0, 1, 2, 3], footprints) == plan_waves_reference(
         [0, 1, 2, 3], footprints

@@ -143,7 +143,7 @@ def _synthetic_trace(n_records: int, n_procs: int, n_cells: int):
 def bench_coherence_sweep(quick: bool, repeats: int) -> Dict[str, object]:
     from repro.memsim.addressing import AddressMap
     from repro.memsim.coherence import simulate_trace
-    from repro.memsim.columnar import ColumnarTrace, simulate_trace_columnar
+    from repro.memsim.columnar import ColumnarTrace
 
     n_records = 2_000 if quick else 20_000
     n_procs = 16
@@ -160,7 +160,7 @@ def bench_coherence_sweep(quick: bool, repeats: int) -> Dict[str, object]:
     def columnar() -> list:
         ct = ColumnarTrace.from_trace(trace)
         return [
-            simulate_trace_columnar(ct, n_procs, AddressMap(n_channels, n_grids, ls))
+            ct.replay(n_procs, AddressMap(n_channels, n_grids, ls))
             for ls in line_sizes
         ]
 

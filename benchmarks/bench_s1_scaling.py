@@ -23,7 +23,8 @@ work that makes big inputs practical (see docs/PERFORMANCE.md):
 ``s1_stream_replay``
     Bounded-memory streaming coherence replay
     (``memsim.columnar.simulate_trace_streaming`` from a
-    ``save_trace_stream`` file) against the in-memory columnar engine on
+    ``save_trace_stream`` file) against the in-memory one-chunk replay
+    (``ColumnarTrace.from_trace(trace).replay``) of the same kernel on
     the same trace (~1.1M references full, ~270k quick).  Gated on
     bit-identity with the in-memory path.
 
@@ -185,8 +186,8 @@ def bench_s1_stream_replay(quick: bool, repeats: int) -> Dict[str, object]:
     """Streaming replay from disk vs the in-memory columnar engine."""
     from repro.memsim import (
         AddressMap,
+        ColumnarTrace,
         save_trace_stream,
-        simulate_trace_columnar,
         simulate_trace_streaming,
     )
 
@@ -200,9 +201,9 @@ def bench_s1_stream_replay(quick: bool, repeats: int) -> Dict[str, object]:
         save_trace_stream(trace, path)
         times, outputs = _interleaved_best(
             {
-                "reference": lambda: simulate_trace_columnar(
-                    trace, 12, amap
-                ).as_dict(),
+                "reference": lambda: ColumnarTrace.from_trace(trace)
+                .replay(12, amap)
+                .as_dict(),
                 "vectorized": lambda: simulate_trace_streaming(
                     path, 12, amap
                 ).as_dict(),

@@ -1,21 +1,23 @@
 """Shared memory substrate: Tango-style reference tracing and
 Write-Back-with-Invalidate cache coherence simulation (infinite caches,
-configurable line size)."""
+configurable line size).
+
+The production replay is :class:`ColumnarTrace` (one record table, one
+vectorised kernel that :func:`simulate_trace_streaming` also runs chunk
+by chunk over LRTS trace files); :func:`simulate_trace` is the scalar
+oracle."""
 
 from .addressing import WORD_BYTES, AddressMap
 from .coherence import WriteBackInvalidate, simulate_trace
-from .columnar import ColumnarTrace, simulate_trace_columnar, simulate_trace_streaming
+from .columnar import ColumnarTrace, simulate_trace_streaming
 from .stats import CoherenceStats
 from .tango import TangoCollector
 from .trace import ReferenceTrace, TraceRecord
 from .trace_io import (
-    TraceChunk,
     export_dinero,
     iter_trace_chunks,
-    load_trace,
     load_trace_stream,
     open_trace_stream,
-    save_trace,
     save_trace_stream,
 )
 from .finite_cache import FiniteWriteBackInvalidate, simulate_trace_finite
@@ -28,7 +30,6 @@ __all__ = [
     "WriteBackInvalidate",
     "simulate_trace",
     "ColumnarTrace",
-    "simulate_trace_columnar",
     "CoherenceStats",
     "TangoCollector",
     "ReferenceTrace",
@@ -37,13 +38,10 @@ __all__ = [
     "simulate_trace_write_update",
     "FiniteWriteBackInvalidate",
     "simulate_trace_finite",
-    "save_trace",
-    "load_trace",
     "save_trace_stream",
     "load_trace_stream",
     "open_trace_stream",
     "iter_trace_chunks",
-    "TraceChunk",
     "simulate_trace_streaming",
     "export_dinero",
     "expand_trace",

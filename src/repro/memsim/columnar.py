@@ -1,53 +1,48 @@
 """Columnar (vectorised) replay of Write-Back-with-Invalidate traces.
 
 :func:`~repro.memsim.coherence.simulate_trace` walks the trace one access
-burst at a time — a Python-level loop whose per-record overhead dominates
-the Table 3 cache-line sweep, which replays the *same* trace once per line
-size.  This module computes the identical statistics with no per-record
-loop at all, in the columnar style of :mod:`repro.memsim.reference_level`:
+burst at a time, a Python-level loop whose per-record overhead dominates
+the Table 3 sweep (the *same* trace replayed once per line size).  This
+module computes the identical statistics with no per-record loop:
 
-1. the burst trace is flattened **once** into parallel arrays — the
-   concatenated cell stream plus per-record ``(proc, is_write)`` columns
-   in global ``(time, append sequence)`` order (:class:`ColumnarTrace`);
-2. each replay maps cells to cache lines for its line size and dedupes to
-   one *event* per ``(record, line)`` pair — exactly the burst-level
-   deduplication the scalar engine performs via
+1. the trace is flattened **once** into a record table
+   (:class:`ColumnarTrace`) in global ``(time, append sequence)`` order;
+2. each replay maps cells to cache lines and dedupes to one *event* per
+   ``(record, line)`` pair, the burst-level deduplication the scalar
+   engine performs via
    :meth:`~repro.memsim.addressing.AddressMap.cells_to_lines`;
 3. events are grouped by line (lines evolve independently under the
-   infinite-cache protocol) and every per-event outcome is derived from
-   order statistics over the group: the position of the previous write,
-   run-length-encoded same-processor runs (is the line still
-   exclusive-dirty?), the previous access by the same ``(line, proc)``
-   (miss / cold / refetch classification), and segmented prefix sums of
-   read misses (how many sharers does a word write invalidate?).
+   infinite-cache protocol) and every outcome is derived from order
+   statistics over the group.
 
-The derivation mirrors the protocol's state machine exactly, so the
-returned :class:`~repro.memsim.stats.CoherenceStats` is **bit-identical**
-to the scalar engine's — the scalar engine stays as the differential
-oracle (``locusroute verify`` cross-checks the two on every run, and the
-hypothesis tests in ``tests/test_memsim_columnar.py`` fuzz the
-equivalence on random traces).
-
-Key order statistics (per line group, events indexed ``0..k-1`` in global
-order; ``j`` is the position of the last write strictly before event
-``i``, or −1):
+With events indexed ``0..k-1`` per line group and ``j`` the position of
+the last write strictly before event ``i`` (or −1):
 
 - ``p ∈ sharers`` before ``i``  ⟺  p's previous event on the line is at
-  position ≥ max(j, 0) — a write resets the sharer set to the writer,
-  and every read since (each necessarily a miss on first touch) re-adds
-  its processor;
+  position ≥ max(j, 0) — a write resets the sharers to the writer, and
+  every read since re-adds its processor;
 - the line is *dirty* before ``i``  ⟺  ``j ≥ 0`` and events ``j..i-1``
-  form one same-processor run (the first foreign access after a write is
-  always a miss, and every miss on a dirty line flushes it);
+  form one same-processor run (the first foreign access after a write
+  misses, and every miss on a dirty line flushes it);
 - ``|sharers|`` before ``i`` = ``1 + (read misses in (j, i))`` when
   ``j ≥ 0``, else the number of read misses since the group start.
+
+One kernel, :func:`_replay`, runs this over record-aligned chunks and
+bridges chunk boundaries with three carried per-line arrays
+(:class:`_LineCarry`), which stand in for the missing prefix where
+``j < 0``.  :meth:`ColumnarTrace.replay` is the kernel over one chunk;
+:func:`simulate_trace_streaming` is the kernel over
+:func:`~repro.memsim.trace_io.iter_trace_chunks`, in bounded memory.
+Both are **bit-identical** to the scalar engine, the differential oracle
+that ``locusroute verify`` and the hypothesis suites check them against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
-from typing import Union
+from typing import Iterable, Optional, Union
 
 import numpy as np
 
@@ -56,9 +51,15 @@ from ..obs import telemetry as obs
 from .addressing import WORD_BYTES, AddressMap
 from .stats import CoherenceStats
 from .trace import ReferenceTrace
-from .trace_io import DEFAULT_CHUNK_REFS, iter_trace_chunks
 
-__all__ = ["ColumnarTrace", "simulate_trace_columnar", "simulate_trace_streaming"]
+__all__ = ["ColumnarTrace", "simulate_trace_streaming"]
+
+_INT32_MAX = np.iinfo(np.int32).max
+
+#: Default chunk budget: individual cell references per streamed chunk.
+#: ~256k references keeps the working set a few MB regardless of trace
+#: length while amortizing per-chunk numpy overhead.
+DEFAULT_CHUNK_REFS = 1 << 18
 
 
 def _popcount64(values: np.ndarray) -> np.ndarray:
@@ -69,84 +70,203 @@ def _popcount64(values: np.ndarray) -> np.ndarray:
     return np.unpackbits(as_bytes, axis=1).sum(axis=1, dtype=np.int32)
 
 
-@dataclass(frozen=True)
-class ColumnarTrace:
-    """A burst trace flattened into parallel arrays, in global order.
+def int32_cells(cells: np.ndarray) -> np.ndarray:
+    """*cells* as the ``int32`` cell column, rejecting negative indices and
+    indices that overflow it."""
+    if cells.size and not 0 <= int(cells.min()) <= int(cells.max()) < _INT32_MAX:
+        raise CoherenceError("flat cell index outside the int32 cell column")
+    return cells.astype(np.int32)
 
-    Build once with :meth:`from_trace` and replay at any number of cache
-    line sizes with :meth:`replay` — the flattening (which walks the
-    Python-level record list) is paid a single time per trace, not once
-    per line size.
+
+@dataclass(frozen=True, eq=False)
+class ColumnarTrace:
+    """A burst trace (or a record-aligned chunk of one) as one record
+    table, in global replay order.
+
+    Build once with :meth:`from_trace` and :meth:`replay` at any number
+    of line sizes: the Python-level flattening is paid once per trace.
     """
 
-    #: Concatenated flat cell indices of every burst, global order.
-    #: ``int32`` — a flat cell index fits easily (grid cells number in the
-    #: thousands), and 4-byte columns halve the memory traffic of every
-    #: sort and gather in :meth:`replay`.
+    times: np.ndarray  #: float64, per record
+    procs: np.ndarray  #: int32, per record
+    writes: np.ndarray  #: bool, per record
+    #: int64, per record + 1; ``offsets[0] == 0`` and record ``i`` owns
+    #: ``cells[offsets[i]:offsets[i + 1]]``.
+    offsets: np.ndarray
+    #: Concatenated cells of every burst; ``int32`` halves the memory
+    #: traffic of every sort and gather in a replay.
     cells: np.ndarray
-    #: Record id (position in global order) of each cell (``int32``).
-    rec_ids: np.ndarray
-    #: Per-record referencing processor (``int32``).
-    rec_proc: np.ndarray
-    #: Per-record read/write flag.
-    rec_is_write: np.ndarray
-    #: Individual cell references by reads / writes (scalar-engine counts).
-    n_read_refs: int
-    n_write_refs: int
 
     @staticmethod
     def from_trace(trace: ReferenceTrace) -> "ColumnarTrace":
         """Flatten *trace* in global ``(time, append sequence)`` order."""
         records = list(trace.sorted_records())
-        if not records:
-            empty = np.empty(0, dtype=np.int32)
-            return ColumnarTrace(empty, empty, empty, empty.astype(bool), 0, 0)
-        sizes = np.array([r.n_refs for r in records], dtype=np.int64)
-        cells64 = np.concatenate([r.flat_cells for r in records])
-        if cells64.size and int(cells64.max()) >= np.iinfo(np.int32).max:
-            raise CoherenceError("flat cell index overflows the int32 columns")
-        cells = cells64.astype(np.int32)
-        rec_ids = np.repeat(np.arange(len(records), dtype=np.int32), sizes)
-        rec_proc = np.array([r.proc for r in records], dtype=np.int32)
-        rec_is_write = np.array([r.is_write for r in records], dtype=bool)
-        n_write_refs = int(sizes[rec_is_write].sum())
+        offsets = np.zeros(len(records) + 1, dtype=np.int64)
+        np.cumsum([r.n_refs for r in records], out=offsets[1:])
         return ColumnarTrace(
-            cells=cells,
-            rec_ids=rec_ids,
-            rec_proc=rec_proc,
-            rec_is_write=rec_is_write,
-            n_read_refs=int(sizes.sum()) - n_write_refs,
-            n_write_refs=n_write_refs,
+            times=np.array([r.time for r in records], dtype=np.float64),
+            procs=np.array([r.proc for r in records], dtype=np.int32),
+            writes=np.array([r.is_write for r in records], dtype=bool),
+            offsets=offsets,
+            cells=int32_cells(
+                np.concatenate([r.flat_cells for r in records])
+                if records
+                else np.empty(0, dtype=np.int64)
+            ),
         )
 
-    # ------------------------------------------------------------------
+    @property
+    def n_records(self) -> int:
+        return int(self.procs.size)
+
+    @property
+    def n_references(self) -> int:
+        return int(self.cells.size)
+
+    @cached_property
+    def n_write_refs(self) -> int:
+        """Individual cell references by writes (scalar-engine count)."""
+        return int(np.diff(self.offsets)[self.writes].sum())
+
+    @property
+    def n_read_refs(self) -> int:
+        """Individual cell references by reads (scalar-engine count)."""
+        return self.n_references - self.n_write_refs
+
+    @cached_property
+    def rec_ids(self) -> np.ndarray:
+        """Record id of each cell (``int32``, non-decreasing)."""
+        return np.repeat(
+            np.arange(self.n_records, dtype=np.int32), np.diff(self.offsets)
+        )
+
+    def records(self, lo: int, hi: int) -> "ColumnarTrace":
+        """Records ``lo..hi-1`` as a self-contained table (views, no copy)."""
+        offsets = self.offsets[lo : hi + 1]
+        return ColumnarTrace(
+            times=self.times[lo:hi],
+            procs=self.procs[lo:hi],
+            writes=self.writes[lo:hi],
+            offsets=offsets - offsets[0],
+            cells=self.cells[offsets[0] : offsets[-1]],
+        )
+
     def replay(self, n_procs: int, address_map: AddressMap) -> CoherenceStats:
-        """Replay through Write-Back-with-Invalidate; return traffic totals.
+        """Replay through Write-Back-with-Invalidate; bit-identical to
+        :func:`repro.memsim.coherence.simulate_trace`."""
+        return _replay((self,), n_procs, address_map)
 
-        Bit-identical to
-        :func:`repro.memsim.coherence.simulate_trace` on the trace this
-        was built from (the scalar engine is the differential oracle).
-        """
-        if not (1 <= n_procs <= 63):
-            raise CoherenceError("n_procs must be in [1, 63]")
-        stats = CoherenceStats(line_size=address_map.line_size)
-        if self.cells.size == 0:
-            return stats
-        if int(self.rec_proc.min()) < 0 or int(self.rec_proc.max()) >= n_procs:
+
+def simulate_trace_streaming(
+    source: Union[ReferenceTrace, str, Path],
+    n_procs: int,
+    address_map: AddressMap,
+    *,
+    chunk_refs: int = DEFAULT_CHUNK_REFS,
+) -> CoherenceStats:
+    """Replay a :class:`~repro.memsim.trace.ReferenceTrace` or an LRTS
+    file (:func:`~repro.memsim.trace_io.save_trace_stream`) in chunks of
+    about *chunk_refs* references; peak memory is
+    ``O(chunk_refs + address_map.n_lines)``, whatever the trace length.
+    Bit-identical to :meth:`ColumnarTrace.replay` at every chunk size."""
+    from .trace_io import iter_trace_chunks
+
+    return _replay(
+        iter_trace_chunks(source, chunk_refs=chunk_refs), n_procs, address_map
+    )
+
+
+class _LineCarry:
+    """Per-line protocol state carried from one chunk to the next."""
+
+    def __init__(self, n_lines: int) -> None:
+        #: Sharers: procs whose last access is at or after the last write.
+        self.mask = np.zeros(n_lines, dtype=np.int64)
+        #: The exclusive-dirty owner, else −1.
+        self.dirty = np.full(n_lines, -1, dtype=np.int32)
+        #: Procs that ever touched the line; 0 on lines no chunk touched.
+        self.ever = np.zeros(n_lines, dtype=np.int64)
+
+    def roll(
+        self,
+        ev_line: np.ndarray,
+        ev_proc: np.ndarray,
+        ev_write: np.ndarray,
+        new_line: np.ndarray,
+        run_head: np.ndarray,
+    ) -> None:
+        """Advance the state over one chunk's events (grouped by line;
+        ``run_head`` is each event's same-processor run start)."""
+        m = ev_line.size
+        idx = np.arange(m, dtype=np.int32)
+        pbit = np.int64(1) << ev_proc.astype(np.int64)
+        starts = np.flatnonzero(new_line)
+        glines = ev_line[starts]
+        group_id = np.cumsum(new_line) - 1
+        last_write = np.maximum.reduceat(np.where(ev_write, idx, np.int32(-1)), starts)
+        after_lw = idx > last_write[group_id]
+        or_after = np.bitwise_or.reduceat(np.where(after_lw, pbit, np.int64(0)), starts)
+        ends = np.append(starts[1:], m) - 1
+        head_last = run_head[ends]
+        proc_last = ev_proc[ends]
+        written = last_write >= 0
+        writer_bit = np.int64(1) << ev_proc[np.maximum(last_write, 0)].astype(np.int64)
+        owner = self.dirty[glines]
+        self.mask[glines] = np.where(written, writer_bit, self.mask[glines]) | or_after
+        self.ever[glines] |= np.bitwise_or.reduceat(pbit, starts)
+        # A write leaves the line dirty while its writer's run lasts; with
+        # no write, a carried owner survives only a group that is one run
+        # by that owner.
+        self.dirty[glines] = np.where(
+            written,
+            np.where(head_last <= last_write, proc_last, np.int32(-1)),
+            np.where(
+                (owner >= 0) & (head_last == starts) & (proc_last == owner),
+                owner,
+                np.int32(-1),
+            ),
+        )
+
+
+def _replay(
+    chunks: Iterable[ColumnarTrace], n_procs: int, address_map: AddressMap
+) -> CoherenceStats:
+    """The WBI replay kernel over record-aligned chunks in replay order.
+
+    Carried state is applied only to events on lines an earlier chunk
+    touched and rolled forward only when another chunk follows, so a
+    one-chunk replay pays nothing for it.
+    """
+    if not (1 <= n_procs <= 63):
+        raise CoherenceError("n_procs must be in [1, 63]")
+    stats = CoherenceStats(line_size=address_map.line_size)
+    ls = address_map.line_size
+    n_lines = address_map.n_lines
+    # MAX_PROCS is 63, so (line, proc) packs into ``(line << 6) | proc``;
+    # the packed key fits int32 whenever every line index is below 2**25.
+    key_dtype = np.int32 if n_lines <= (1 << 25) else np.int64
+    carry: Optional[_LineCarry] = None
+
+    pending = (c for c in chunks if c.cells.size)
+    chunk = next(pending, None)
+    while chunk is not None:
+        following = next(pending, None)
+        procs = chunk.procs
+        if int(procs.min()) < 0 or int(procs.max()) >= n_procs:
             raise CoherenceError("trace references a processor out of range")
-        stats.n_read_refs = self.n_read_refs
-        stats.n_write_refs = self.n_write_refs
-
-        lines_all = self.cells // address_map.words_per_line
+        stats.n_read_refs += chunk.n_read_refs
+        stats.n_write_refs += chunk.n_write_refs
 
         # One event per (record, line): a stable sort by line alone gives
         # (line, record) order because rec_ids is non-decreasing in the
-        # flattened stream; ties then break by stream position, which is
-        # record order.  Events come out grouped by line, in global record
-        # order within each group.
+        # flattened stream.  Events come out grouped by line, in global
+        # record order within each group.
+        lines_all = chunk.cells // address_map.words_per_line
         order = np.argsort(lines_all, kind="stable")
         l_sorted = lines_all[order]
-        r_sorted = self.rec_ids[order]
+        if int(l_sorted[0]) < 0 or int(l_sorted[-1]) >= n_lines:
+            raise CoherenceError("trace cell outside the address map")
+        r_sorted = chunk.rec_ids[order]
         keep = np.empty(l_sorted.size, dtype=bool)
         keep[0] = True
         np.logical_or(
@@ -161,8 +281,8 @@ class ColumnarTrace:
         else:
             ev_line = l_sorted[keep]
             ev_rec = r_sorted[keep]
-        ev_proc = self.rec_proc[ev_rec]
-        ev_write = self.rec_is_write[ev_rec]
+        ev_proc = procs[ev_rec]
+        ev_write = chunk.writes[ev_rec]
         m = ev_line.size
         idx = np.arange(m, dtype=np.int32)
         obs.incr("sim.coherence.columnar_events", m)
@@ -183,31 +303,17 @@ class ColumnarTrace:
         j[0] = -1
         j[1:] = ff[:-1]
         np.copyto(j, np.int32(-1), where=j < seg_start)
+        jpos = j >= np.int32(0)
 
         # Previous event by the same (line, proc), or -1: classifies
         # misses as cold vs refetch and decides sharer membership.
-        # MAX_PROCS is 63, so (line, proc) packs into ``line * 64 + proc``
-        # — one stable int sort instead of a two-key lexsort — whenever
-        # the packed key cannot overflow (it never does for real grids;
-        # the lexsort fallback keeps huge synthetic traces correct).
-        max_line = int(l_sorted[-1])
-        if max_line < (1 << 24):
-            key = ev_line << np.int32(6)
-            key |= ev_proc
-            by_lp = np.argsort(key, kind="stable")
-            lp_key = key[by_lp]
-            same_lp = np.empty(m, dtype=bool)
-            same_lp[0] = False
-            np.equal(lp_key[1:], lp_key[:-1], out=same_lp[1:])
-        else:
-            by_lp = np.lexsort((ev_proc, ev_line))
-            lp_line = ev_line[by_lp]
-            lp_proc = ev_proc[by_lp]
-            same_lp = np.empty(m, dtype=bool)
-            same_lp[0] = False
-            same_lp[1:] = (lp_line[1:] == lp_line[:-1]) & (
-                lp_proc[1:] == lp_proc[:-1]
-            )
+        key = np.left_shift(ev_line, 6, dtype=key_dtype)
+        key |= ev_proc
+        by_lp = np.argsort(key, kind="stable")
+        lp_key = key[by_lp]
+        same_lp = np.empty(m, dtype=bool)
+        same_lp[0] = False
+        np.equal(lp_key[1:], lp_key[:-1], out=same_lp[1:])
         prev_in_sorted = np.empty(m, dtype=np.int64)
         prev_in_sorted[0] = -1
         prev_in_sorted[1:] = by_lp[:-1]
@@ -219,9 +325,7 @@ class ColumnarTrace:
         # Sharer membership: a write resets the sharer set to the writer;
         # reads since re-add their processor.  So p holds the line iff its
         # previous access is at or after the last write.
-        jpos = j >= np.int32(0)
         sharers_has_p = prev_lp >= np.maximum(j, np.int32(0))
-        miss = ~sharers_has_p
 
         # Dirty-line tracking via run-length encoding of same-processor
         # runs: the line written at j is still dirty at i iff events
@@ -238,10 +342,33 @@ class ColumnarTrace:
         prev_proc[0] = -1
         prev_proc[1:] = ev_proc[:-1]
         dirty_alive = jpos & (run_start_prev <= j)
+
+        if carry is not None:
+            # Events on lines an earlier chunk touched, where the chunk
+            # has no earlier write (~jpos) fall back to the carried state.
+            sel = np.flatnonzero(carry.ever[ev_line] != 0)
+            s_line = ev_line[sel]
+            c_mask = carry.mask[s_line]
+            c_dirty = carry.dirty[s_line]
+            pbit = np.int64(1) << ev_proc[sel].astype(np.int64)
+            fresh = ~jpos[sel]
+            sharers_has_p[sel] |= fresh & ((c_mask & pbit) != 0)
+            seen = (carry.ever[s_line] & pbit) != 0  # not a cold miss
+            # A carried dirty line stays dirty while its owner's run is
+            # unbroken from the chunk boundary up to the event.
+            at_start = sel == seg_start[sel]
+            unbroken = run_start_prev[sel] <= seg_start[sel]
+            unbroken &= prev_proc[sel] == c_dirty
+            dirty_alive[sel] |= fresh & (c_dirty >= 0) & (at_start | unbroken)
+            prev_proc[sel[at_start]] = c_dirty[at_start]  # holder at a group start
+            carried_sharers = np.where(fresh, _popcount64(c_mask), np.int32(0))
+        miss = ~sharers_has_p
         dirty_by_me = dirty_alive & (ev_proc == prev_proc)
 
         read_miss = miss & ~ev_write
         cold = read_miss & (prev_lp < 0)
+        if carry is not None:
+            cold[sel] &= ~seen
         writeback = miss & dirty_alive
         word_write = ev_write & ~dirty_by_me
 
@@ -253,203 +380,8 @@ class ColumnarTrace:
         cum_excl -= rm
         base = cum_excl[np.where(jpos, j, seg_start)]
         n_sharers = jpos.astype(np.int32) + cum_excl - base
-        others = n_sharers - sharers_has_p.astype(np.int32)
-        inval = word_write & (others > 0)
-
-        ls = address_map.line_size
-        n_cold = int(np.count_nonzero(cold))
-        n_read_miss = int(np.count_nonzero(read_miss))
-        stats.cold_fetch_bytes = n_cold * ls
-        stats.refetch_bytes = (n_read_miss - n_cold) * ls
-        stats.write_miss_fetch_bytes = int(np.count_nonzero(ev_write & miss)) * ls
-        stats.writeback_bytes = int(np.count_nonzero(writeback)) * ls
-        stats.word_write_bytes = int(np.count_nonzero(word_write)) * WORD_BYTES
-        stats.n_invalidation_events = int(np.count_nonzero(inval))
-        stats.n_copies_invalidated = int(others[inval].sum())
-        return stats
-
-
-def simulate_trace_columnar(
-    trace: Union[ReferenceTrace, ColumnarTrace],
-    n_procs: int,
-    address_map: AddressMap,
-) -> CoherenceStats:
-    """Vectorised drop-in for :func:`repro.memsim.coherence.simulate_trace`.
-
-    Accepts either a :class:`~repro.memsim.trace.ReferenceTrace` or an
-    already-flattened :class:`ColumnarTrace` (pass the latter when
-    replaying the same trace at several line sizes — the Table 3 sweep —
-    so the flattening is paid once).
-    """
-    columnar = (
-        trace
-        if isinstance(trace, ColumnarTrace)
-        else ColumnarTrace.from_trace(trace)
-    )
-    return columnar.replay(n_procs, address_map)
-
-
-def simulate_trace_streaming(
-    source: Union[ReferenceTrace, str, Path],
-    n_procs: int,
-    address_map: AddressMap,
-    *,
-    chunk_refs: int = DEFAULT_CHUNK_REFS,
-) -> CoherenceStats:
-    """Replay a trace in bounded memory; bit-identical to the in-memory
-    engines.
-
-    *source* is an in-memory :class:`~repro.memsim.trace.ReferenceTrace`
-    or the path of a :func:`~repro.memsim.trace_io.save_trace_stream`
-    file.  The trace is consumed in record-aligned chunks of about
-    *chunk_refs* references (:func:`~repro.memsim.trace_io.iter_trace_chunks`),
-    so peak memory is ``O(chunk_refs + address_map.n_lines)`` —
-    independent of trace length.
-
-    Within a chunk the replay runs the same order statistics as
-    :meth:`ColumnarTrace.replay`; chunk boundaries are bridged by three
-    carried per-line arrays that summarize everything earlier events
-    can influence:
-
-    - ``carry_mask`` — bitmask of current sharers (procs whose last
-      access is at or after the line's last write);
-    - ``carry_dirty`` — owning proc while the line is exclusive-dirty,
-      else −1 (alive exactly while the events since the last write form
-      one same-processor run by the writer);
-    - ``carry_ever`` — bitmask of procs that ever touched the line
-      (cold-miss vs refetch classification).
-
-    Per-event outcomes fall back to the carried values only where the
-    within-chunk statistics see no prior write (``j < 0``); the
-    hypothesis tests fuzz bit-identity against the scalar engine across
-    random chunk sizes, including ``chunk_refs=1``.
-    """
-    if not (1 <= n_procs <= 63):
-        raise CoherenceError("n_procs must be in [1, 63]")
-    stats = CoherenceStats(line_size=address_map.line_size)
-    ls = address_map.line_size
-    n_lines = address_map.n_lines
-    carry_mask = np.zeros(n_lines, dtype=np.int64)
-    carry_dirty = np.full(n_lines, -1, dtype=np.int32)
-    carry_ever = np.zeros(n_lines, dtype=np.int64)
-
-    for chunk in iter_trace_chunks(source, chunk_refs=chunk_refs):
-        if chunk.cells.size == 0:
-            continue
-        procs = chunk.procs
-        if int(procs.min()) < 0 or int(procs.max()) >= n_procs:
-            raise CoherenceError("trace references a processor out of range")
-        sizes = np.diff(chunk.offsets)
-        n_write_refs = int(sizes[chunk.writes].sum())
-        stats.n_write_refs += n_write_refs
-        stats.n_read_refs += int(sizes.sum()) - n_write_refs
-
-        lines_all = chunk.cells // address_map.words_per_line
-        if int(lines_all.max()) >= n_lines or int(lines_all.min()) < 0:
-            raise CoherenceError("trace cell outside the address map")
-
-        # Event extraction: one event per (record, line), grouped by
-        # line in global record order — identical to ColumnarTrace.
-        rec_ids = np.repeat(np.arange(procs.size, dtype=np.int32), sizes)
-        order = np.argsort(lines_all, kind="stable")
-        l_sorted = lines_all[order]
-        r_sorted = rec_ids[order]
-        keep = np.empty(l_sorted.size, dtype=bool)
-        keep[0] = True
-        np.logical_or(
-            l_sorted[1:] != l_sorted[:-1],
-            r_sorted[1:] != r_sorted[:-1],
-            out=keep[1:],
-        )
-        if keep.all():
-            ev_line, ev_rec = l_sorted, r_sorted
-        else:
-            ev_line = l_sorted[keep]
-            ev_rec = r_sorted[keep]
-        ev_proc = procs[ev_rec]
-        ev_write = chunk.writes[ev_rec]
-        m = ev_line.size
-        idx = np.arange(m, dtype=np.int32)
-        obs.incr("sim.coherence.columnar_events", m)
-        obs.incr("sim.coherence.stream_chunks")
-
-        new_line = np.empty(m, dtype=bool)
-        new_line[0] = True
-        np.not_equal(ev_line[1:], ev_line[:-1], out=new_line[1:])
-        seg_start = np.where(new_line, idx, np.int32(0))
-        np.maximum.accumulate(seg_start, out=seg_start)
-
-        # j: last write strictly before each event, within the chunk.
-        ff = np.where(ev_write, idx, np.int32(-1))
-        np.maximum.accumulate(ff, out=ff)
-        j = np.empty(m, dtype=np.int32)
-        j[0] = -1
-        j[1:] = ff[:-1]
-        np.copyto(j, np.int32(-1), where=j < seg_start)
-        jpos = j >= np.int32(0)
-
-        # Previous event by the same (line, proc) within the chunk.
-        key = (ev_line.astype(np.int64) << np.int64(6)) | ev_proc
-        by_lp = np.argsort(key, kind="stable")
-        lp_key = key[by_lp]
-        same_lp = np.empty(m, dtype=bool)
-        same_lp[0] = False
-        np.equal(lp_key[1:], lp_key[:-1], out=same_lp[1:])
-        prev_in_sorted = np.empty(m, dtype=np.int64)
-        prev_in_sorted[0] = -1
-        prev_in_sorted[1:] = by_lp[:-1]
-        prev_lp = np.empty(m, dtype=np.int32)
-        prev_lp[by_lp] = np.where(same_lp, prev_in_sorted, np.int64(-1)).astype(
-            np.int32
-        )
-
-        # Carried state, gathered per event; consulted only where the
-        # chunk has no earlier write on the line (~jpos).
-        c_mask = carry_mask[ev_line]
-        c_dirty = carry_dirty[ev_line]
-        c_ever = carry_ever[ev_line]
-        pbit = np.int64(1) << ev_proc.astype(np.int64)
-
-        sharers_has_p = prev_lp >= np.maximum(j, np.int32(0))
-        sharers_has_p |= ~jpos & ((c_mask & pbit) != 0)
-        miss = ~sharers_has_p
-
-        run_break = new_line.copy()
-        run_break[1:] |= ev_proc[1:] != ev_proc[:-1]
-        run_start = np.where(run_break, idx, np.int32(0))
-        np.maximum.accumulate(run_start, out=run_start)
-        run_start_prev = np.empty(m, dtype=np.int32)
-        run_start_prev[0] = 0
-        run_start_prev[1:] = run_start[:-1]
-        prev_proc = np.empty(m, dtype=np.int32)
-        prev_proc[0] = -1
-        prev_proc[1:] = ev_proc[:-1]
-
-        # Dirty before event i: a within-chunk write followed by one
-        # same-proc run, or a carried dirty line whose owner's run is
-        # unbroken through the chunk boundary up to i.
-        at_start = idx == seg_start
-        dirty_alive = jpos & (run_start_prev <= j)
-        dirty_alive |= (
-            ~jpos
-            & (c_dirty >= 0)
-            & (at_start | ((run_start_prev <= seg_start) & (prev_proc == c_dirty)))
-        )
-        dirty_by_me = dirty_alive & (ev_proc == np.where(at_start, c_dirty, prev_proc))
-
-        read_miss = miss & ~ev_write
-        cold = read_miss & (prev_lp < 0) & ((c_ever & pbit) == 0)
-        writeback = miss & dirty_alive
-        word_write = ev_write & ~dirty_by_me
-
-        # Sharer counts: segmented prefix sums of read misses, seeded
-        # with the carried sharer count where the chunk has no write.
-        rm = read_miss.astype(np.int32)
-        cum_excl = np.cumsum(rm, dtype=np.int32)
-        cum_excl -= rm
-        base = cum_excl[np.where(jpos, j, seg_start)]
-        seed = np.where(jpos, np.int32(1), _popcount64(c_mask))
-        n_sharers = seed + cum_excl - base
+        if carry is not None:
+            n_sharers[sel] += carried_sharers
         others = n_sharers - sharers_has_p.astype(np.int32)
         inval = word_write & (others > 0)
 
@@ -463,34 +395,9 @@ def simulate_trace_streaming(
         stats.n_invalidation_events += int(np.count_nonzero(inval))
         stats.n_copies_invalidated += int(others[inval].sum())
 
-        # Roll the carried state forward over this chunk's line groups.
-        starts = np.flatnonzero(new_line)
-        glines = ev_line[starts]
-        group_id = np.cumsum(new_line) - 1
-        jl = np.maximum.reduceat(np.where(ev_write, idx, np.int32(-1)), starts)
-        after_lw = idx > jl[group_id]
-        or_after = np.bitwise_or.reduceat(np.where(after_lw, pbit, np.int64(0)), starts)
-        or_all = np.bitwise_or.reduceat(pbit, starts)
-        ends = np.empty(starts.size, dtype=np.int64)
-        ends[:-1] = starts[1:] - 1
-        ends[-1] = m - 1
-        rs_last = run_start[ends]
-        rp_last = ev_proc[ends]
-        jlpos = jl >= 0
-        writer = ev_proc[np.maximum(jl, 0)]
-        writer_bit = np.int64(1) << writer.astype(np.int64)
-        cd_group = carry_dirty[glines]
-        carry_mask[glines] = np.where(
-            jlpos, writer_bit | or_after, carry_mask[glines] | or_after
-        )
-        carry_ever[glines] |= or_all
-        carry_dirty[glines] = np.where(
-            jlpos,
-            np.where(rs_last <= jl, rp_last, np.int32(-1)),
-            np.where(
-                (cd_group >= 0) & (rs_last == starts) & (rp_last == cd_group),
-                cd_group,
-                np.int32(-1),
-            ),
-        )
+        if following is not None:
+            if carry is None:
+                carry = _LineCarry(n_lines)
+            carry.roll(ev_line, ev_proc, ev_write, new_line, run_start)
+        chunk = following
     return stats

@@ -41,6 +41,7 @@ import numpy as np
 
 from ..errors import CoherenceError
 from .addressing import WORD_BYTES, AddressMap
+from .columnar import ColumnarTrace
 from .stats import CoherenceStats
 from .trace import ReferenceTrace
 
@@ -55,18 +56,9 @@ def expand_trace(trace: ReferenceTrace) -> Tuple[np.ndarray, np.ndarray, np.ndar
     become consecutive individual references, preserving the recorded
     intra-burst order.
     """
-    records = list(trace.sorted_records())
-    if not records:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty.astype(np.int8), empty.astype(bool)
-    words = np.concatenate([r.flat_cells for r in records])
-    procs = np.concatenate(
-        [np.full(r.n_refs, r.proc, dtype=np.int16) for r in records]
-    )
-    writes = np.concatenate(
-        [np.full(r.n_refs, r.is_write, dtype=bool) for r in records]
-    )
-    return words, procs, writes
+    table = ColumnarTrace.from_trace(trace)
+    sizes = np.diff(table.offsets)
+    return table.cells, np.repeat(table.procs, sizes), np.repeat(table.writes, sizes)
 
 
 def _group_exclusive_prefix(

@@ -4,33 +4,24 @@ Tango-era memory traces were files consumed by downstream cache
 simulators (dinero and friends).  This module gives the in-memory
 :class:`~repro.memsim.trace.ReferenceTrace` the same workflow:
 
-- :func:`save_trace` / :func:`load_trace` — a compact ``.npz`` container
-  holding the burst table (time, proc, write flag, burst offsets) and the
-  concatenated cell indices; lossless and fast;
-- :func:`save_trace_stream` / :func:`open_trace_stream` /
-  :func:`iter_trace_chunks` — a flat binary container laid out for
-  *streaming*: records are pre-sorted into global replay order at save
-  time and each column lives at a fixed file offset, so a reader seeks
-  and loads any record-aligned window without materializing the rest.
-  :func:`iter_trace_chunks` also accepts an in-memory
-  :class:`~repro.memsim.trace.ReferenceTrace`, chunking it the same way,
-  so replay code is source-agnostic;
-- :func:`export_dinero` — a classic three-column text trace (``label
-  address`` per reference, label 0 = read, 1 = write), one line per
-  *individual* cell reference, for feeding external cache simulators.
+- :func:`save_trace_stream` / :func:`load_trace_stream` /
+  :func:`open_trace_stream` — LRTS ("LocusRoute Trace Stream"), a
+  lossless flat binary file with records pre-sorted into global replay
+  order and each column at a fixed offset, so a reader seeks to any
+  record-aligned window without loading the rest;
+- :func:`iter_trace_chunks` — record-aligned
+  :class:`~repro.memsim.columnar.ColumnarTrace` chunks of an LRTS file or
+  an in-memory trace, so replay code is source-agnostic;
+- :func:`export_dinero` — a one-way ``label address`` text trace, one
+  line per *individual* cell reference (label 0 = read, 1 = write).
 
-The ``.npz`` round trip preserves burst structure exactly (the coherence
-simulators depend on burst-level deduplication); the dinero export
-flattens bursts into per-reference records and is one-way.  Chunk
-boundaries always fall on record boundaries — the coherence engines
-deduplicate lines *within* a record, so splitting one would change
-results — and chunking is invisible in the replayed statistics (the
+Chunks never split a record: the coherence engines deduplicate lines
+*within* a record, so chunking is invisible in replayed statistics (the
 hypothesis tests fuzz this with random chunk sizes).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Union
 
@@ -38,194 +29,129 @@ import numpy as np
 
 from ..errors import CoherenceError
 from .addressing import WORD_BYTES
+from .columnar import DEFAULT_CHUNK_REFS, ColumnarTrace, int32_cells
 from .trace import ReferenceTrace
 
 __all__ = [
-    "TraceChunk",
     "export_dinero",
     "iter_trace_chunks",
-    "load_trace",
     "load_trace_stream",
     "open_trace_stream",
-    "save_trace",
     "save_trace_stream",
 ]
 
 PathLike = Union[str, Path]
-
-_FORMAT_VERSION = 1
 
 #: Stream container magic ("LocusRoute Trace Stream").
 STREAM_MAGIC = b"LRTS"
 _STREAM_VERSION = 1
 _STREAM_HEADER_BYTES = 4 + 4 + 8 + 8  # magic, version, n_records, n_refs
 
-#: Default chunk budget: individual cell references per yielded chunk.
-#: ~256k references keeps the working set a few MB regardless of trace
-#: length while amortizing per-chunk numpy overhead.
-DEFAULT_CHUNK_REFS = 1 << 18
-
-#: Record-table probe window for the file reader (records per seek).
+#: Record-table probe window (records per chunk-boundary search).
 _PROBE_RECORDS = 1 << 16
 
 
-@dataclass(frozen=True)
-class TraceChunk:
-    """A record-aligned slice of a trace, in global replay order.
-
-    ``offsets`` are chunk-local burst offsets (``offsets[0] == 0``;
-    burst ``i`` owns ``cells[offsets[i]:offsets[i + 1]]``), so a chunk
-    is self-contained: replaying the sequence of chunks visits exactly
-    the records of the whole trace, in the same order, with the same
-    burst structure.
-    """
-
-    times: np.ndarray  #: float64, per record
-    procs: np.ndarray  #: int32, per record
-    writes: np.ndarray  #: bool, per record
-    offsets: np.ndarray  #: int64, per record + 1 (chunk-local)
-    cells: np.ndarray  #: int64, concatenated burst cells
-
-    @property
-    def n_records(self) -> int:
-        return int(self.procs.size)
-
-    @property
-    def n_references(self) -> int:
-        return int(self.cells.size)
-
-
-def save_trace(trace: ReferenceTrace, path: PathLike) -> None:
-    """Write *trace* to an ``.npz`` file (lossless)."""
-    records = trace.records
-    times = np.array([r.time for r in records], dtype=np.float64)
-    procs = np.array([r.proc for r in records], dtype=np.int32)
-    writes = np.array([r.is_write for r in records], dtype=bool)
-    lengths = np.array([r.n_refs for r in records], dtype=np.int64)
-    offsets = np.zeros(len(records) + 1, dtype=np.int64)
-    np.cumsum(lengths, out=offsets[1:])
-    cells = (
-        np.concatenate([r.flat_cells for r in records])
-        if records
-        else np.empty(0, dtype=np.int64)
-    )
-    np.savez_compressed(
-        Path(path),
-        version=np.int64(_FORMAT_VERSION),
-        times=times,
-        procs=procs,
-        writes=writes,
-        offsets=offsets,
-        cells=cells,
-    )
-
-
-def load_trace(path: PathLike) -> ReferenceTrace:
-    """Read a trace previously written by :func:`save_trace`."""
-    with np.load(Path(path)) as data:
-        if int(data["version"]) != _FORMAT_VERSION:
-            raise CoherenceError(
-                f"unsupported trace format version {int(data['version'])}"
-            )
-        trace = ReferenceTrace()
-        offsets = data["offsets"]
-        cells = data["cells"]
-        for i in range(len(data["times"])):
-            trace.add(
-                float(data["times"][i]),
-                int(data["procs"][i]),
-                bool(data["writes"][i]),
-                cells[offsets[i] : offsets[i + 1]].copy(),
-            )
-        return trace
+def _chunk_len(offsets: np.ndarray, chunk_refs: int) -> int:
+    """Records in the next chunk, given the offsets window that starts it:
+    as many as fit in *chunk_refs* references, and at least one."""
+    rel = offsets - offsets[0]
+    k = int(np.searchsorted(rel, chunk_refs, side="right")) - 1
+    return max(1, min(k, offsets.size - 1))
 
 
 def save_trace_stream(trace: ReferenceTrace, path: PathLike) -> int:
-    """Write *trace* as a flat streaming container; returns bytes written.
+    """Write *trace* as an LRTS streaming container; returns bytes written.
 
     Records are stored in global ``(time, append sequence)`` replay
     order — the sort is paid once here so readers can consume the file
     strictly sequentially.  Layout (all little-endian, after a 24-byte
-    header)::
+    header of magic, version, record count and reference count)::
 
         times    float64[n]
         procs    int32[n]
         writes   uint8[n]
-        offsets  int64[n + 1]   cumulative reference counts
+        offsets  int64[n + 1]   cumulative reference counts, from 0
         cells    int64[offsets[n]]
     """
-    records = list(trace.sorted_records())
-    n = len(records)
-    times = np.array([r.time for r in records], dtype="<f8")
-    procs = np.array([r.proc for r in records], dtype="<i4")
-    writes = np.array([r.is_write for r in records], dtype=np.uint8)
-    offsets = np.zeros(n + 1, dtype="<i8")
-    np.cumsum([r.n_refs for r in records], out=offsets[1:])
+    table = ColumnarTrace.from_trace(trace)
     with open(Path(path), "wb") as fh:
         fh.write(STREAM_MAGIC)
         fh.write(np.uint32(_STREAM_VERSION).tobytes())
-        fh.write(np.int64(n).tobytes())
-        fh.write(np.int64(int(offsets[-1])).tobytes())
-        fh.write(times.tobytes())
-        fh.write(procs.tobytes())
-        fh.write(writes.tobytes())
-        fh.write(offsets.tobytes())
-        for r in records:
-            fh.write(r.flat_cells.astype("<i8").tobytes())
+        fh.write(np.array([table.n_records, table.n_references], "<i8").tobytes())
+        fh.write(table.times.astype("<f8").tobytes())
+        fh.write(table.procs.astype("<i4").tobytes())
+        fh.write(table.writes.astype(np.uint8).tobytes())
+        fh.write(table.offsets.astype("<i8").tobytes())
+        fh.write(table.cells.astype("<i8").tobytes())
         return fh.tell()
 
 
 def open_trace_stream(
     path: PathLike, *, chunk_refs: int = DEFAULT_CHUNK_REFS
-) -> Iterator[TraceChunk]:
-    """Stream a :func:`save_trace_stream` file as :class:`TraceChunk`\\ s.
+) -> Iterator[ColumnarTrace]:
+    """Stream an LRTS file as record-aligned :class:`ColumnarTrace` chunks.
 
     Peak memory is bounded by ``chunk_refs`` (plus a fixed record-table
     probe window), independent of the trace length: each column is read
-    by seeking to its offset window, never whole.
+    by seeking to its offset window, never whole.  A malformed file — bad
+    magic or version, a negative record count, offsets that do not start
+    at 0, decrease or miss the header's reference count, a negative
+    processor, a cell outside the int32 column or a truncated column —
+    raises :class:`CoherenceError`.
     """
     if chunk_refs < 1:
         raise CoherenceError("chunk_refs must be positive")
     with open(Path(path), "rb") as fh:
-        magic = fh.read(4)
-        if magic != STREAM_MAGIC:
-            raise CoherenceError(f"not a trace stream (bad magic {magic!r})")
-        version = int(np.frombuffer(fh.read(4), dtype="<u4")[0])
+        header = fh.read(_STREAM_HEADER_BYTES)
+        if header[:4] != STREAM_MAGIC:
+            raise CoherenceError(f"not a trace stream (bad magic {header[:4]!r})")
+        if len(header) != _STREAM_HEADER_BYTES:
+            raise CoherenceError("truncated trace stream")
+        version = int.from_bytes(header[4:8], "little")
         if version != _STREAM_VERSION:
             raise CoherenceError(f"unsupported trace stream version {version}")
-        n, n_refs = (int(v) for v in np.frombuffer(fh.read(16), dtype="<i8"))
+        n, n_refs = (int(v) for v in np.frombuffer(header[8:], dtype="<i8"))
+        if n < 0:
+            raise CoherenceError(f"negative trace stream record count {n}")
         times_base = _STREAM_HEADER_BYTES
         procs_base = times_base + 8 * n
         writes_base = procs_base + 4 * n
         offsets_base = writes_base + n
         cells_base = offsets_base + 8 * (n + 1)
 
-        def read(base: int, dtype: str, itemsize: int, start: int, count: int):
-            fh.seek(base + itemsize * start)
-            data = np.frombuffer(fh.read(itemsize * count), dtype=dtype)
+        def read(base: int, dtype: str, start: int, count: int) -> np.ndarray:
+            size = np.dtype(dtype).itemsize
+            fh.seek(base + size * start)
+            data = np.frombuffer(fh.read(size * count), dtype=dtype)
             if data.size != count:
                 raise CoherenceError("truncated trace stream")
             return data
 
+        # With the first offset at 0 and the last at the reference count,
+        # non-decreasing offsets keep every window inside the cells column.
+        first, last = (int(read(offsets_base, "<i8", i, 1)[0]) for i in (0, n))
+        if first != 0 or last != n_refs:
+            raise CoherenceError(
+                f"trace stream offsets span [{first}, {last}], expected [0, {n_refs}]"
+            )
         pos = 0
         while pos < n:
-            probe = min(n - pos, _PROBE_RECORDS)
-            off = read(offsets_base, "<i8", 8, pos, probe + 1)
-            rel = off - off[0]
-            k = int(np.searchsorted(rel, chunk_refs, side="right")) - 1
-            k = max(1, min(k, probe))
-            chunk = TraceChunk(
-                times=read(times_base, "<f8", 8, pos, k),
-                procs=read(procs_base, "<i4", 4, pos, k).astype(np.int32),
-                writes=read(writes_base, "u1", 1, pos, k).astype(bool),
-                offsets=rel[: k + 1].astype(np.int64),
-                cells=read(cells_base, "<i8", 8, int(off[0]), int(rel[k])).astype(
-                    np.int64
+            off = read(offsets_base, "<i8", pos, min(n - pos, _PROBE_RECORDS) + 1)
+            if np.any(off[1:] < off[:-1]):
+                raise CoherenceError("trace stream offsets decrease")
+            k = _chunk_len(off, chunk_refs)
+            procs = read(procs_base, "<i4", pos, k).astype(np.int32)
+            if int(procs.min()) < 0:
+                raise CoherenceError("trace stream references a negative processor")
+            yield ColumnarTrace(
+                times=read(times_base, "<f8", pos, k).astype(np.float64),
+                procs=procs,
+                writes=read(writes_base, "u1", pos, k).astype(bool),
+                offsets=(off[: k + 1] - off[0]).astype(np.int64),
+                cells=int32_cells(
+                    read(cells_base, "<i8", int(off[0]), int(off[k] - off[0]))
                 ),
             )
-            if int(off[0]) + chunk.n_references > n_refs:
-                raise CoherenceError("trace stream offsets exceed reference count")
-            yield chunk
             pos += k
 
 
@@ -233,57 +159,30 @@ def iter_trace_chunks(
     source: Union[ReferenceTrace, PathLike],
     *,
     chunk_refs: int = DEFAULT_CHUNK_REFS,
-) -> Iterator[TraceChunk]:
+) -> Iterator[ColumnarTrace]:
     """Record-aligned chunks of *source*, in global replay order.
 
     *source* is either an in-memory
-    :class:`~repro.memsim.trace.ReferenceTrace` or the path of a
-    :func:`save_trace_stream` file.  Both produce the same chunk
-    semantics; replayed statistics do not depend on chunk boundaries.
+    :class:`~repro.memsim.trace.ReferenceTrace` (flattened once by
+    :meth:`ColumnarTrace.from_trace`, then sliced) or the path of a
+    :func:`save_trace_stream` file.  Both cut chunks the same way;
+    replayed statistics do not depend on chunk boundaries.
     """
     if not isinstance(source, ReferenceTrace):
         yield from open_trace_stream(source, chunk_refs=chunk_refs)
         return
     if chunk_refs < 1:
         raise CoherenceError("chunk_refs must be positive")
-    times: list = []
-    procs: list = []
-    writes: list = []
-    bursts: list = []
-    refs = 0
-
-    def flush() -> TraceChunk:
-        offsets = np.zeros(len(bursts) + 1, dtype=np.int64)
-        np.cumsum([b.size for b in bursts], out=offsets[1:])
-        chunk = TraceChunk(
-            times=np.array(times, dtype=np.float64),
-            procs=np.array(procs, dtype=np.int32),
-            writes=np.array(writes, dtype=bool),
-            offsets=offsets,
-            cells=(
-                np.concatenate(bursts)
-                if bursts
-                else np.empty(0, dtype=np.int64)
-            ),
-        )
-        times.clear(), procs.clear(), writes.clear(), bursts.clear()
-        return chunk
-
-    for record in source.sorted_records():
-        times.append(record.time)
-        procs.append(record.proc)
-        writes.append(record.is_write)
-        bursts.append(record.flat_cells.astype(np.int64))
-        refs += record.n_refs
-        if refs >= chunk_refs:
-            yield flush()
-            refs = 0
-    if times:
-        yield flush()
+    table = ColumnarTrace.from_trace(source)
+    pos = 0
+    while pos < table.n_records:
+        k = _chunk_len(table.offsets[pos : pos + _PROBE_RECORDS + 1], chunk_refs)
+        yield table.records(pos, pos + k)
+        pos += k
 
 
 def load_trace_stream(path: PathLike) -> ReferenceTrace:
-    """Read a :func:`save_trace_stream` file back into memory.
+    """Read an LRTS file back into memory.
 
     Records come back in global replay order (the container's order),
     which leaves every replay result identical; the original append
@@ -296,7 +195,7 @@ def load_trace_stream(path: PathLike) -> ReferenceTrace:
                 float(chunk.times[i]),
                 int(chunk.procs[i]),
                 bool(chunk.writes[i]),
-                chunk.cells[chunk.offsets[i] : chunk.offsets[i + 1]].copy(),
+                chunk.cells[chunk.offsets[i] : chunk.offsets[i + 1]],
             )
     return trace
 

@@ -36,10 +36,12 @@ LINE_SIZES = (4, 8, 16, 32)
 
 
 def _coherence_check(circuit: Circuit, n_procs: int) -> Dict[str, object]:
-    """Scalar MSI replay vs columnar replay on a circuit-derived trace."""
+    """Scalar MSI replay vs the columnar kernel on a circuit-derived
+    trace, as one chunk and as one record per chunk (state carried across
+    every record boundary)."""
     from ..memsim.addressing import AddressMap
     from ..memsim.coherence import simulate_trace
-    from ..memsim.columnar import ColumnarTrace, simulate_trace_columnar
+    from ..memsim.columnar import ColumnarTrace, simulate_trace_streaming
     from ..memsim.trace import ReferenceTrace
 
     # A deterministic trace with real sharing: each wire's pin cells are
@@ -58,17 +60,19 @@ def _coherence_check(circuit: Circuit, n_procs: int) -> Dict[str, object]:
             trace.add(float(2 * idx + 1), (idx + 1) % n_procs, True, cells)
 
     columnar = ColumnarTrace.from_trace(trace)
-    diverged: List[int] = []
+    diverged: List[str] = []
     for ls in LINE_SIZES:
         amap = AddressMap(circuit.n_channels, circuit.n_grids, ls)
-        if simulate_trace(trace, n_procs, amap) != simulate_trace_columnar(
-            columnar, n_procs, amap
-        ):
-            diverged.append(ls)
+        scalar = simulate_trace(trace, n_procs, amap)
+        if scalar != columnar.replay(n_procs, amap):
+            diverged.append(f"{ls} (one chunk)")
+        if scalar != simulate_trace_streaming(trace, n_procs, amap, chunk_refs=1):
+            diverged.append(f"{ls} (record chunks)")
     detail = (
-        f"{trace.n_records} bursts x line sizes {LINE_SIZES}"
+        f"{trace.n_records} bursts x line sizes {LINE_SIZES}, one chunk and "
+        "one record per chunk"
         if not diverged
-        else f"stats diverged at line sizes {diverged}"
+        else f"stats diverged at line sizes {', '.join(diverged)}"
     )
     return {"identical": not diverged, "detail": detail}
 

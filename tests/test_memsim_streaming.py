@@ -26,13 +26,13 @@ from hypothesis import strategies as st
 from repro.errors import CoherenceError
 from repro.memsim import (
     AddressMap,
+    ColumnarTrace,
     ReferenceTrace,
     iter_trace_chunks,
     load_trace_stream,
     open_trace_stream,
     save_trace_stream,
     simulate_trace,
-    simulate_trace_columnar,
     simulate_trace_streaming,
 )
 
@@ -95,7 +95,7 @@ class TestStreamingEquivalence:
     def test_matches_columnar_on_large_trace(self):
         trace = synthetic_trace(5_000)
         amap = AddressMap(N_CHANNELS, N_GRIDS, 16)
-        columnar = simulate_trace_columnar(trace, 8, amap)
+        columnar = ColumnarTrace.from_trace(trace).replay(8, amap)
         for chunk_refs in (64, 1_000, 10**9):
             assert simulate_trace_streaming(trace, 8, amap, chunk_refs=chunk_refs) == columnar
 
@@ -104,7 +104,7 @@ class TestStreamingEquivalence:
         path = tmp_path / "t.lrts"
         save_trace_stream(trace, path)
         amap = AddressMap(N_CHANNELS, N_GRIDS, 16)
-        in_memory = simulate_trace_columnar(trace, 8, amap)
+        in_memory = ColumnarTrace.from_trace(trace).replay(8, amap)
         assert simulate_trace_streaming(path, 8, amap, chunk_refs=512) == in_memory
 
     def test_rejects_bad_processor_count(self):
@@ -193,6 +193,41 @@ class TestStreamFile:
         with pytest.raises(CoherenceError):
             list(open_trace_stream(path))
 
+    @pytest.mark.parametrize(
+        "column, index, value",
+        [
+            ("offsets", 3, 15),  # offsets 0,2,5,9,14,... -> 9 then 15 then 14
+            ("offsets", 0, 4),  # would silently drop the first 4 cells
+            ("n_records", 0, -1),  # would read as an empty trace
+            ("procs", 2, -1),  # would load a negative processor
+            ("cells", 0, -1),  # the scalar engine would wrap it to the last line
+        ],
+    )
+    def test_rejects_malformed_file(self, tmp_path, column, index, value):
+        trace = ReferenceTrace()
+        for i in range(6):
+            trace.add(float(i), i % 3, i % 2 == 1, np.arange(i + 2, dtype=np.int64))
+        path = tmp_path / "t.lrts"
+        save_trace_stream(trace, path)
+        n = trace.n_records
+        bases = {  # byte offset and dtype of each LRTS column
+            "n_records": (8, "<i8"),
+            "procs": (24 + 8 * n, "<i4"),
+            "offsets": (24 + 13 * n, "<i8"),
+            "cells": (32 + 21 * n, "<i8"),
+        }
+        base, dtype = bases[column]
+        data = bytearray(path.read_bytes())
+        item = np.dtype(dtype).itemsize
+        data[base + item * index : base + item * (index + 1)] = np.array(
+            [value], dtype=dtype
+        ).tobytes()
+        path.write_bytes(bytes(data))
+        with pytest.raises(CoherenceError):
+            load_trace_stream(path)
+        with pytest.raises(CoherenceError):
+            simulate_trace_streaming(path, 8, AddressMap(N_CHANNELS, N_GRIDS, 16))
+
 
 class TestBoundedMemory:
     def test_peak_memory_independent_of_trace_length(self, tmp_path):
@@ -236,7 +271,7 @@ class TestMillionReferenceAcceptance:
         path = tmp_path / "million.lrts"
         save_trace_stream(trace, path)
         amap = AddressMap(N_CHANNELS, N_GRIDS, 16)
-        in_memory = simulate_trace_columnar(trace, 8, amap)
+        in_memory = ColumnarTrace.from_trace(trace).replay(8, amap)
         del trace
 
         tracemalloc.start()

@@ -83,6 +83,29 @@ class TestOracle:
         assert "first differing cell" in text
 
 
+class TestKernelChecks:
+    def test_coherence_check_catches_dropped_dirty_carry(self, monkeypatch):
+        """Seeded defect: the chunk carry forgets every dirty owner.  Only
+        the one-record-per-chunk replay crosses chunk boundaries, so the
+        one-chunk leg stays green and the carry leg alone must fail."""
+        from repro.memsim import columnar
+        from repro.verify.kernels import _coherence_check
+
+        circuit = bnre_like(n_wires=120)
+        assert _coherence_check(circuit, n_procs=4)["identical"]
+        original = columnar._LineCarry.roll
+
+        def drop_dirty(self, *args):
+            original(self, *args)
+            self.dirty.fill(-1)
+
+        monkeypatch.setattr(columnar._LineCarry, "roll", drop_dirty)
+        result = _coherence_check(circuit, n_procs=4)
+        assert result["identical"] is False
+        assert "record chunks" in result["detail"]
+        assert "one chunk" not in result["detail"]
+
+
 class TestRunner:
     def test_quick_sweep_passes(self):
         run = run_verification(quick=True, circuit=bnre_like(n_wires=60))
